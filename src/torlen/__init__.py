@@ -32,7 +32,6 @@ from .freeprod import (
     nf_power,
     normal_form,
     ping_pong_free_check,
-    pingpong_report,
 )
 from .presentation import (
     FreeProductResult,

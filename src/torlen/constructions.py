@@ -16,7 +16,7 @@ from .presentation import (
     hnn_presentation,
 )
 from .stallings import build_subgroup_graph, free_basis
-from .words import Word, concat, free_reduce, substitute
+from .words import Word, concat, free_reduce, fresh_symbol
 
 
 def build_pjkl(j: int, k: int, l: int) -> Presentation:
@@ -112,17 +112,12 @@ def build_tgen(p: Presentation) -> TgenResult:
     i = 0..n with the i = 0 pair being (a, b); then Tietze-eliminate b
     and every x_i.  The result has generators exactly {a, t}.
     """
+    reserved = {"a", "b", "t"}
+    taken = set(p.generators) | reserved
     rename = {}
-    taken = set(p.generators) | {"a", "b", "t"}
     for g in p.generators:
-        if g in {"a", "b", "t"}:
-            k = 1
-            while f"{g}#{k}" in taken:
-                k += 1
-            rename[g] = f"{g}#{k}"
-            taken.add(rename[g])
-        else:
-            rename[g] = g
+        rename[g] = fresh_symbol(g, taken) if g in reserved else g
+        taken.add(rename[g])
     gens = tuple(rename[g] for g in p.generators)
     relators = tuple(
         Word(tuple((rename[g], s) for g, s in r.letters)) for r in p.relators
@@ -184,9 +179,8 @@ def build_ln(p: Presentation) -> LnResult:
     <b^-i a b^i> of C2 * C3, with a = yxy and b = xyxyx.
     """
     taken = set(p.generators)
-    x = "x" if "x" not in taken else _fresh(taken, "x")
-    taken.add(x)
-    y = "y" if "y" not in taken else _fresh(taken, "y")
+    x = fresh_symbol("x", taken)
+    y = fresh_symbol("y", taken | {x})
 
     graph = build_subgroup_graph(p.generators, p.relators)
     basis = free_basis(graph).words
@@ -201,13 +195,6 @@ def build_ln(p: Presentation) -> LnResult:
         glued = bb ** (-i) * ab * bb**i
         relators.append(free_reduce(t_word * _expand_ab(glued, x, y).inverse()))
     return LnResult(Presentation(gens, tuple(relators)), r, basis, degenerate)
-
-
-def _fresh(taken: set[str], stem: str) -> str:
-    k = 1
-    while f"{stem}#{k}" in taken:
-        k += 1
-    return f"{stem}#{k}"
 
 
 def build_qn(n: int) -> Presentation:

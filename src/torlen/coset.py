@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .presentation import Presentation
+from .stallings import UnionFind
 from .words import Word, free_reduce
 
 
@@ -44,28 +45,23 @@ class CosetTable:
         return out
 
 
-class _Enumerator:
+class _Enumerator(UnionFind):
+    """Coset table over letters 2i (generator i) and 2i+1 (its inverse),
+    so letter ^ 1 is the inverse letter; the union-find merges
+    coincident cosets into the least one."""
+
     def __init__(self, n_letters: int, max_cosets: int):
+        super().__init__(1)
         self.n_letters = n_letters
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * n_letters]
-        self.parent = [0]
         self.live_count = 1
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
 
     def define(self, a: int, x: int) -> int:
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
-        b = len(self.table)
+        b = self.add()
         self.table.append([None] * self.n_letters)
-        self.parent.append(b)
         self.live_count += 1
         self.table[a][x] = b
         self.table[b][x ^ 1] = a

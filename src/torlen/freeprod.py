@@ -97,6 +97,10 @@ def _normalize_exponent(exponent: int, order: Optional[int]) -> int:
 
 
 def _push(stack: list[tuple[int, int]], factor: int, exponent: int, spec: CyclicFactorSpec):
+    """Multiply an alternating syllable stack by one syllable.  The
+    syllable merges with the top one at most, and if that vanishes the
+    stack still alternates, so pushing an alternating sequence keeps a
+    normal form."""
     if stack and stack[-1][0] == factor:
         factor_prev, exp_prev = stack.pop()
         exponent = exp_prev + exponent
@@ -128,25 +132,17 @@ def normal_form(spec: CyclicFactorSpec, w: Word) -> NormalForm:
     return NormalForm(tuple(stack))
 
 
-def _push_deep(stack: list[tuple[int, int]], factor: int, exponent: int, spec: CyclicFactorSpec):
-    _push(stack, factor, exponent, spec)
-    # a vanished syllable may leave equal factors adjacent; fix up
-    while len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
-        factor, exponent = stack.pop()
-        _push(stack, factor, exponent, spec)
-
-
 def nf_multiply(spec: CyclicFactorSpec, a: NormalForm, b: NormalForm) -> NormalForm:
     stack = list(a.syllables)
     for factor, exponent in b.syllables:
-        _push_deep(stack, factor, exponent, spec)
+        _push(stack, factor, exponent, spec)
     return NormalForm(tuple(stack))
 
 
 def nf_invert(spec: CyclicFactorSpec, a: NormalForm) -> NormalForm:
     stack: list[tuple[int, int]] = []
     for factor, exponent in reversed(a.syllables):
-        _push_deep(stack, factor, -exponent, spec)
+        _push(stack, factor, -exponent, spec)
     return NormalForm(tuple(stack))
 
 
@@ -301,11 +297,3 @@ def ping_pong_free_check(spec: CyclicFactorSpec, u: Word, v: Word, max_length: i
                 continue
             stack.append((seq + (letter,), nf_multiply(spec, value, basis[letter])))
     return True
-
-
-def pingpong_report(spec: CyclicFactorSpec, u: Word, v: Word, max_length: int) -> dict:
-    ok = ping_pong_free_check(spec, u, v, max_length)
-    return {
-        "verdict": "free-up-to-bound" if ok else "not-free",
-        "bounds": {"max_length": max_length},
-    }

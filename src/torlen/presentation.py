@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_diagonal, smith_normal_form
 from .consequences import closure_ball
@@ -18,6 +18,9 @@ from .words import (
     check_symbol,
     cyclic_reduce,
     free_reduce,
+    fresh_symbol,
+    invert_ints,
+    least_rotation,
     substitute,
     word_to_ints,
 )
@@ -63,9 +66,6 @@ class Presentation:
         return f"< {gens} | {rels} >"
 
 
-EMPTY_PRESENTATION = Presentation((), ())
-
-
 @dataclass(frozen=True)
 class PresentationMorphism:
     """A map of presentations given by generator images.
@@ -86,21 +86,20 @@ class PresentationMorphism:
 
     def relator_status(self, search_budget: int = 6) -> tuple[str, ...]:
         statuses = []
-        target_cores = set()
-        for r in self.target.relators:
-            core, _ = cyclic_reduce(r)
-            for variant in (core, core.inverse()):
-                for k in range(max(1, len(variant))):
-                    target_cores.add(Word(variant.letters[k:] + variant.letters[:k]))
         index = {g: i for i, g in enumerate(self.target.generators)}
+
+        def cyclic_class(w: Word):
+            core = word_to_ints(cyclic_reduce(w)[0], index)
+            return least_rotation(core, invert_ints(core))
+
+        target_classes = {cyclic_class(r) for r in self.target.relators}
         ball = None
         for r in self.source.relators:
             image = free_reduce(self.apply(r))
             if not image:
                 statuses.append("trivial")
                 continue
-            core, _ = cyclic_reduce(image)
-            if core in target_cores:
+            if cyclic_class(image) in target_classes:
                 statuses.append("relator-match")
                 continue
             if ball is None:
@@ -125,24 +124,15 @@ class FreeProductResult:
     right: PresentationMorphism
 
 
-def _fresh_name(name: str, taken: set[str]) -> str:
-    if name not in taken:
-        return name
-    k = 1
-    while f"{name}#{k}" in taken:
-        k += 1
-    return f"{name}#{k}"
-
-
 def free_product(p: Presentation, q: Presentation) -> FreeProductResult:
     """Disjoint union of generators and relators.  Name clashes on the
-    right factor are renamed with ``#k`` suffixes (outside the user
-    alphabet, so the injections stay unambiguous)."""
+    right factor are renamed by ``fresh_symbol`` (a ``#k`` suffix that
+    no other generator uses, so the injections stay unambiguous)."""
     taken = set(p.generators)
     rename: dict[str, str] = {}
     gens = list(p.generators)
     for g in q.generators:
-        new = _fresh_name(g, taken)
+        new = fresh_symbol(g, taken)
         rename[g] = new
         taken.add(new)
         gens.append(new)
@@ -189,11 +179,10 @@ def kill_generators(p: Presentation, victims: Iterable[str]) -> Presentation:
     extra = victims - set(p.generators)
     if extra:
         raise PresentationError(f"cannot kill undeclared generator(s) {sorted(extra)}")
-    mapping = {g: Word.empty() for g in victims}
     gens = tuple(g for g in p.generators if g not in victims)
     rels = []
     for r in p.relators:
-        new = substitute(r, mapping)
+        new = free_reduce(Word(tuple(l for l in r.letters if l[0] not in victims)))
         if new:
             rels.append(new)
     return Presentation(gens, tuple(rels))
@@ -243,31 +232,6 @@ def eliminate_generator_with_image(
 # -- canonical form -------------------------------------------------------
 
 
-def _letter_key(order: Mapping[str, int]):
-    def key(letter):
-        name, sign = letter
-        return (order[name], 0 if sign == 1 else 1)
-
-    return key
-
-
-def _canonical_rotation(core: Word, order: Mapping[str, int]) -> Word:
-    """Least rotation among all rotations of the cyclically reduced
-    relator and of its inverse, under the given generator order."""
-    if not core:
-        return core
-    key = _letter_key(order)
-    best = None
-    for variant in (core, core.inverse()):
-        letters = variant.letters
-        for k in range(len(letters)):
-            rot = letters[k:] + letters[:k]
-            cand = tuple(key(l) for l in rot)
-            if best is None or cand < best[0]:
-                best = (cand, rot)
-    return Word(best[1])
-
-
 def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
     """Deterministic structural normal form.
 
@@ -287,9 +251,18 @@ def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
     seen_orders = [order]
     outputs = []
     for _ in range(len(p.generators) + 3):
-        key = _letter_key(order)
-        rotated = [_canonical_rotation(c, order) for c in cores]
-        rotated.sort(key=lambda w: (len(w), tuple(key(l) for l in w.letters)))
+        # letter g^s encodes as 2*order[g] + (s == -1), its inverse as
+        # code ^ 1, so int order is (generator order, sign) order
+        by_order = sorted(order, key=order.__getitem__)
+        codes = []
+        for c in cores:
+            code = tuple(2 * order[g] + (s == -1) for g, s in c.letters)
+            codes.append(least_rotation(code, tuple(x ^ 1 for x in reversed(code))))
+        codes.sort(key=lambda code: (len(code), code))
+        rotated = [
+            Word(tuple((by_order[x >> 1], -1 if x & 1 else 1) for x in code))
+            for code in codes
+        ]
         new_order: dict[str, int] = {}
         for w in rotated:
             for name, _ in w.letters:

@@ -11,7 +11,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import Word, free_reduce
+from .words import (
+    Word,
+    free_reduce,
+    ints_to_word,
+    invert_ints,
+    multiply_ints,
+    reduce_ints,
+    word_to_ints,
+)
 
 
 class UnionFind:
@@ -55,12 +63,6 @@ class SubgroupGraph:
             steps[(u, g, 1)] = v
             steps[(v, g, -1)] = u
         object.__setattr__(self, "_steps", steps)
-
-    def out_map(self) -> dict[tuple[int, str], int]:
-        return {(u, g): v for u, g, v in self.edges}
-
-    def in_map(self) -> dict[tuple[int, str], int]:
-        return {(v, g): u for u, g, v in self.edges}
 
     def rank(self) -> int:
         return len(self.edges) - self.n_vertices + 1
@@ -163,10 +165,6 @@ def _relabel_bfs(ambient, base, edges) -> SubgroupGraph:
     return SubgroupGraph(ambient, 0, len(names), new_edges)
 
 
-def rank(graph: SubgroupGraph) -> int:
-    return graph.rank()
-
-
 @dataclass(frozen=True)
 class FreeBasis:
     words: tuple[Word, ...]
@@ -228,36 +226,20 @@ def graph_report(graph: SubgroupGraph) -> dict:
     }
 
 
-def _red_concat(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    i = 0
-    while i < n and i < len(b) and a[n - 1 - i] == -b[i]:
-        i += 1
-    return a[: n - i] + b[i:]
-
-
-def _inv(t: tuple) -> tuple:
-    return tuple(-x for x in reversed(t))
-
-
 def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:
     """Nielsen-reduce a finite generating set: repeatedly drop trivial
     or redundant words and replace any word shortened by multiplication
     with another generator (or its inverse) on either side."""
     generators = list(generators)
     symbols = sorted({g for w in generators for g in w.symbols()})
-    index = {g: i + 1 for i, g in enumerate(symbols)}
-    ws = []
-    for w in generators:
-        t = tuple(index[g] * s for g, s in free_reduce(w).letters)
-        if t:
-            ws.append(t)
+    index = {g: i for i, g in enumerate(symbols)}
+    ws = [t for t in (reduce_ints(word_to_ints(w, index)) for w in generators) if t]
     changed = True
     while changed:
         changed = False
         canon = {}
         for w in ws:
-            canon[min(w, _inv(w))] = w
+            canon[min(w, invert_ints(w))] = w
         ws = list(canon.values())
         for i in range(len(ws)):
             for j in range(len(ws)):
@@ -265,18 +247,15 @@ def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:
                     continue
                 u, v = ws[i], ws[j]
                 best = v
-                for up in (u, _inv(u)):
-                    for cand in (_red_concat(up, v), _red_concat(v, up)):
+                for up in (u, invert_ints(u)):
+                    for cand in (multiply_ints(up, v), multiply_ints(v, up)):
                         if len(cand) < len(best):
                             best = cand
                 if len(best) < len(v):
                     ws[j] = best
                     changed = True
         ws = [w for w in ws if w]
-    names = {i + 1: g for i, g in enumerate(symbols)}
-    return tuple(
-        Word(tuple((names[abs(x)], 1 if x > 0 else -1) for x in w)) for w in sorted(ws)
-    )
+    return tuple(ints_to_word(w, symbols) for w in sorted(ws))
 
 
 def closure_members(
@@ -295,12 +274,12 @@ def closure_members(
     """
     basis = nielsen_reduce(list(generators))
     symbols = sorted({g for w in basis for g in w.symbols()})
-    index = {g: i + 1 for i, g in enumerate(symbols)}
+    index = {g: i for i, g in enumerate(symbols)}
     gens = []
     for b in basis:
-        t = tuple(index[g] * s for g, s in b.letters)
+        t = word_to_ints(b, index)
         gens.append(t)
-        gens.append(_inv(t))
+        gens.append(invert_ints(t))
     radius = max_length + max((len(b) for b in basis), default=0)
     seen = {()}
     queue = deque([()])
@@ -315,7 +294,7 @@ def closure_members(
                     continue
                 new = cur + g
             else:
-                new = _red_concat(cur, g)
+                new = multiply_ints(cur, g)
                 if len(new) > radius:
                     continue
             if new not in seen:

@@ -20,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .consequences import ClosureBall, closure_ball, verify_factors
-from .presentation import Presentation, canonicalize, kill_generators
+from .presentation import Presentation, kill_generators
+from .stallings import UnionFind
 from .words import (
     IntWord,
     Word,
     cyclic_reduce,
-    free_reduce,
     ints_to_word,
     invert_ints,
+    least_rotation,
     reduce_ints,
     word_to_ints,
 )
@@ -68,25 +69,21 @@ def _classify_relator(core: Word):
 
 
 def _components(p: Presentation, cores: list[Word]):
-    parent = {g: g for g in p.generators}
-
-    def find(g):
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
+    """Free-product components: generators linked by a shared nonempty
+    relator core, keyed by a root generator index, with the indices of
+    the cores in each."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    uf = UnionFind(len(p.generators))
     for core in cores:
-        syms = sorted(core.symbols())
-        for other in syms[1:]:
-            parent[find(syms[0])] = find(other)
-    groups: dict[str, list[int]] = {}
-    gen_groups: dict[str, list[str]] = {}
-    for g in p.generators:
-        gen_groups.setdefault(find(g), []).append(g)
+        first = index[core.letters[0][0]]
+        for g, _ in core.letters[1:]:
+            uf.union(first, index[g])
+    gen_groups: dict[int, list[str]] = {}
+    for i, g in enumerate(p.generators):
+        gen_groups.setdefault(uf.find(i), []).append(g)
+    groups: dict[int, list[int]] = {}
     for i, core in enumerate(cores):
-        if core.symbols():
-            groups.setdefault(find(next(iter(core.symbols()))), []).append(i)
+        groups.setdefault(uf.find(index[core.letters[0][0]]), []).append(i)
     return gen_groups, groups
 
 
@@ -257,15 +254,14 @@ class TorsionCertificate:
     supporting: tuple["TorsionCertificate", ...] = ()
 
     def verify(self) -> bool:
-        expanded = []
-        for conj, rel, sign in self.factors:
-            body = rel if sign == 1 else rel.inverse()
-            expanded.append(conj * body * conj.inverse())
-        product = Word.empty()
-        for w in expanded:
-            product = product * w
-        target = free_reduce(self.word**self.exponent)
-        ok = free_reduce(product * target.inverse()) == Word.empty()
+        """Recheck the conjugate product by free reduction, here and in
+        every supporting certificate."""
+        words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
+        index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
+        relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
+        factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
+        target = word_to_ints(self.word**self.exponent, index)
+        ok = verify_factors(target, factors, relators)
         return ok and all(c.verify() for c in self.supporting)
 
 
@@ -305,15 +301,7 @@ def _cyclic_core_key(iw: IntWord) -> IntWord:
     w = reduce_ints(iw)
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
-    if not w:
-        return ()
-    best = None
-    for variant in (w, invert_ints(w)):
-        for k in range(len(variant)):
-            rot = variant[k:] + variant[:k]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return least_rotation(w, invert_ints(w))
 
 
 def torsion_certificate_search(

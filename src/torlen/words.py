@@ -161,8 +161,9 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
     Images must not mention symbols that are themselves being
     substituted; chained substitution requires separate calls.
     """
+    substituted = set(mapping)
     for g, image in mapping.items():
-        bad = image.symbols() & set(mapping)
+        bad = image.symbols() & substituted
         if bad:
             raise WordError(
                 f"image of {g!r} mentions substituted symbol(s) {sorted(bad)}"
@@ -182,6 +183,17 @@ def concat(words: Iterable[Word]) -> Word:
     for w in words:
         letters.extend(w.letters)
     return Word(tuple(letters))
+
+
+def fresh_symbol(stem: str, taken: set[str]) -> str:
+    """``stem`` itself when it is not taken, else the first ``stem#k``
+    (k = 1, 2, ...) that is not."""
+    if stem not in taken:
+        return stem
+    k = 1
+    while f"{stem}#{k}" in taken:
+        k += 1
+    return f"{stem}#{k}"
 
 
 # -- integer encoding ----------------------------------------------------
@@ -212,3 +224,25 @@ def reduce_ints(iw: Iterable[int]) -> IntWord:
 
 def invert_ints(iw: IntWord) -> IntWord:
     return tuple(-x for x in reversed(iw))
+
+
+def multiply_ints(a: IntWord, b: IntWord) -> IntWord:
+    """The freely reduced product ``a b`` of two freely reduced words:
+    cancellation can only happen at the seam."""
+    n = len(a)
+    i = 0
+    while i < n and i < len(b) and a[n - 1 - i] == -b[i]:
+        i += 1
+    return a[: n - i] + b[i:]
+
+
+def least_rotation(w: tuple, w_inverse: tuple) -> tuple:
+    """The least rotation, in tuple order, of ``w`` or of its inverse:
+    a canonical representative of the cyclic word up to inversion.
+
+    The caller passes the word and its inverse in its own encoding, so
+    the letter order (and hence the representative) is the caller's.
+    """
+    if not w:
+        return w
+    return min(v[k:] + v[:k] for v in (w, w_inverse) for k in range(len(v)))
