@@ -126,7 +126,7 @@ class FreeProductResult:
 
 def free_product(p: Presentation, q: Presentation) -> FreeProductResult:
     """Disjoint union of generators and relators.  Name clashes on the
-    right factor are renamed by ``fresh_symbol`` (a ``#k`` suffix that
+    right factor are renamed by ``fresh_symbol`` (a ``_k`` suffix that
     no other generator uses, so the injections stay unambiguous)."""
     taken = set(p.generators)
     rename: dict[str, str] = {}

@@ -186,14 +186,15 @@ def concat(words: Iterable[Word]) -> Word:
 
 
 def fresh_symbol(stem: str, taken: set[str]) -> str:
-    """``stem`` itself when it is not taken, else the first ``stem#k``
-    (k = 1, 2, ...) that is not."""
+    """``stem`` itself when it is not taken, else the first ``stem_k``
+    (k = 1, 2, ...) that is not.  The suffix keeps the name legal in the
+    presentation file format, so emitted presentations parse back."""
     if stem not in taken:
         return stem
     k = 1
-    while f"{stem}#{k}" in taken:
+    while f"{stem}_{k}" in taken:
         k += 1
-    return f"{stem}#{k}"
+    return f"{stem}_{k}"
 
 
 # -- integer encoding ----------------------------------------------------

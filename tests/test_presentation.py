@@ -4,7 +4,7 @@ import random
 import pytest
 
 from torlen.abelian import AbelianInvariants
-from torlen.constructions import build_pn
+from torlen.constructions import build_ln, build_pn, build_qn, build_tgen
 from torlen.presentation import (
     Presentation,
     PresentationError,
@@ -57,8 +57,8 @@ def test_free_product_counts_add():
 
 def test_free_product_renames_clashes():
     r = free_product(P("x", "x x"), P("x", "x x x"))
-    assert r.presentation.generators == ("x", "x#1")
-    assert r.right.images["x"] == Word.gen("x#1")
+    assert r.presentation.generators == ("x", "x_1")
+    assert r.right.images["x"] == Word.gen("x_1")
 
 
 def test_free_product_with_empty():
@@ -210,6 +210,21 @@ def test_parse_comments_and_inverses():
 def test_round_trip():
     for p in (build_pn(3), P("x y z", "x x", "y y", "x y z^-1 z^-1"), P("a b")):
         assert parse_presentation(serialize_presentation(p)) == p
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_qn(3),
+        lambda: build_ln(P("x x_1 y", "x x", "x_1 x_1 x_1", "x y x_1^-1")).presentation,
+        lambda: free_product(P("x y", "x x"), P("x y", "x y x^-1 y^-1")).presentation,
+        lambda: build_tgen(P("a t b", "a a", "t t t", "a t b^-1 b^-1")).intermediate,
+    ],
+    ids=["qn", "ln", "free_product", "tgen"],
+)
+def test_emitted_presentations_round_trip(build):
+    p = build()
+    assert parse_presentation(serialize_presentation(p)) == p
 
 
 def test_parse_errors_carry_position():

@@ -1,13 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from torlen.presentation import parse_presentation
 from torlen.words import (
     Word,
     WordError,
     cyclic_reduce,
     free_reduce,
+    fresh_symbol,
     is_cyclically_reduced,
     is_freely_reduced,
+    least_rotation,
+    multiply_ints,
     reduce_ints,
     invert_ints,
     substitute,
@@ -110,3 +114,48 @@ def test_int_reduction_matches_word_reduction(ls):
     red_word = Word(tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in red))
     assert red_word == free_reduce(as_word)
     assert reduce_ints(red + invert_ints(red)) == ()
+
+
+int_words = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=10).map(tuple)
+
+
+def _rotations(w):
+    return {w[k:] + w[:k] for k in range(len(w))} or {w}
+
+
+@given(int_words, st.integers(min_value=0, max_value=9))
+def test_least_rotation_is_a_class_invariant(w, k):
+    key = least_rotation(w, invert_ints(w))
+    rotated = w[k % len(w) :] + w[: k % len(w)] if w else w
+    assert least_rotation(rotated, invert_ints(rotated)) == key
+    assert least_rotation(invert_ints(w), w) == key
+    assert key == min(_rotations(w) | _rotations(invert_ints(w)))
+
+
+@given(int_words, int_words)
+def test_least_rotation_matches_rotation_sets(u, v):
+    same_class = v in _rotations(u) | _rotations(invert_ints(u))
+    assert (least_rotation(u, invert_ints(u)) == least_rotation(v, invert_ints(v))) == same_class
+
+
+@given(int_words, int_words)
+def test_multiply_ints_is_reduced_concatenation(a, b):
+    a, b = reduce_ints(a), reduce_ints(b)
+    assert multiply_ints(a, b) == reduce_ints(a + b)
+
+
+names = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
+
+
+@given(names, st.sets(names, max_size=8), st.integers(min_value=0, max_value=3))
+def test_fresh_symbol_is_free_and_parses(stem, taken, clashes):
+    taken = taken | {stem} | {f"{stem}_{k}" for k in range(1, clashes + 1)}
+    name = fresh_symbol(stem, taken)
+    assert name not in taken
+    gens = sorted(taken) + [name]
+    assert parse_presentation("gens: " + " ".join(gens) + "\n").generators == tuple(gens)
+
+
+def test_fresh_symbol_keeps_a_free_stem():
+    assert fresh_symbol("x", {"y"}) == "x"
+    assert fresh_symbol("x", {"x", "x_1", "x_3"}) == "x_2"
