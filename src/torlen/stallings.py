@@ -27,8 +27,9 @@ class UnionFind:
         self.parent = list(range(n))
 
     def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
+        x = len(self.parent)
+        self.parent.append(x)
+        return x
 
     def find(self, x: int) -> int:
         root = x
