@@ -12,13 +12,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .words import IntWord, invert_ints, reduce_ints
+from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 
 # Moves are recorded as:
 #   ("ins", position, relator_index, sign, rotation) -- insert a cyclic
-#       rotation of relator^sign at the given position, then reduce.
+#       rotation of relator^sign at the given position.  The word and the
+#       rotation (reduced once, up front) are both reduced, so letters
+#       cancel only at the two seams.
 #   ("conj", letter) -- conjugate the whole word by a single generator
-#       letter (positive or negative int), then reduce.
+#       letter (positive or negative int); letters cancel only at the two
+#       ends.
 
 
 @dataclass
@@ -105,7 +108,9 @@ def closure_ball(
             continue
         for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
             for rot, rotated in _rotations(oriented):
-                ins_moves.append((ridx, sign, rot, rotated))
+                # a rotation of a relator that is not cyclically reduced
+                # is not reduced itself
+                ins_moves.append((ridx, sign, rot, reduce_ints(rotated)))
     letters = [g for g in range(1, n_generators + 1)] + [
         -g for g in range(1, n_generators + 1)
     ]
@@ -116,12 +121,13 @@ def closure_ball(
             continue
         children = []
         for pos in range(len(word) + 1):
+            head, tail = word[:pos], word[pos:]
             for ridx, sign, rot, rotated in ins_moves:
-                new = reduce_ints(word[:pos] + rotated + word[pos:])
+                new = multiply_ints(multiply_ints(head, rotated), tail)
                 if len(new) <= max_len:
                     children.append((new, ("ins", pos, ridx, sign, rot)))
         for letter in letters:
-            new = reduce_ints((letter,) + word + (-letter,))
+            new = multiply_ints(multiply_ints((letter,), word), (-letter,))
             if len(new) <= max_len:
                 children.append((new, ("conj", letter)))
         for new, move in children:

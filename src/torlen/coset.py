@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .presentation import Presentation
 from .stallings import UnionFind

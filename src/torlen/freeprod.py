@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .words import Word, check_symbol, concat, free_reduce
+from .words import Word, check_symbol, concat
 
 INFINITE = None  # order marker for infinite cyclic factors
 

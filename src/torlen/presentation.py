@@ -8,7 +8,7 @@ kept (canonicalize is the only deduplicating operation).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_diagonal, smith_normal_form

@@ -17,15 +17,16 @@ trivial by explicit products of conjugates of relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .consequences import ClosureBall, closure_ball, verify_factors
+from .consequences import closure_ball, verify_factors
 from .presentation import Presentation, kill_generators
 from .stallings import UnionFind
 from .words import (
     IntWord,
     Word,
     cyclic_reduce,
+    cyclic_split_ints,
     ints_to_word,
     invert_ints,
     least_rotation,
@@ -253,16 +254,25 @@ class TorsionCertificate:
     adjoined: tuple[Word, ...] = ()
     supporting: tuple["TorsionCertificate", ...] = ()
 
+    # The result of ``verify``, kept once known: a certificate is
+    # immutable, and the certificates of one level share their supporting
+    # certificates.  A class attribute, not a field, so ``==``, ``hash``
+    # and ``repr`` ignore it.
+    _verified = None
+
     def verify(self) -> bool:
         """Recheck the conjugate product by free reduction, here and in
         every supporting certificate."""
-        words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
-        index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
-        relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
-        factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
-        target = word_to_ints(self.word**self.exponent, index)
-        ok = verify_factors(target, factors, relators)
-        return ok and all(c.verify() for c in self.supporting)
+        if self._verified is None:
+            words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
+            index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
+            relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
+            factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
+            target = word_to_ints(self.word**self.exponent, index)
+            ok = verify_factors(target, factors, relators)
+            ok = ok and all(c.verify() for c in self.supporting)
+            object.__setattr__(self, "_verified", ok)
+        return self._verified
 
 
 @dataclass(frozen=True)
@@ -298,10 +308,8 @@ def _enumerate_reduced_int_words(n_gens: int, max_len: int):
 def _cyclic_core_key(iw: IntWord) -> IntWord:
     """Canonical representative of the cyclic conjugacy-and-inversion
     class, used to deduplicate adjoined relators."""
-    w = reduce_ints(iw)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return least_rotation(w, invert_ints(w))
+    _, core, _ = cyclic_split_ints(reduce_ints(iw))
+    return least_rotation(core, invert_ints(core))
 
 
 def torsion_certificate_search(
@@ -356,9 +364,14 @@ def torsion_certificate_search(
         found: list[TorsionCertificate] = []
         new_by_core: dict[IntWord, TorsionCertificate] = {}
         for w in _enumerate_reduced_int_words(len(p.generators), word_bound):
+            head, core, tail = cyclic_split_ints(w)
             for n in range(1, exponent_bound + 1):
-                power = reduce_ints(w * n)
-                if len(power) > word_bound or power not in ball:
+                # w is reduced, so w^n reduces to head core^n tail, whose
+                # length grows with n
+                power = head + core * n + tail
+                if len(power) > word_bound:
+                    break
+                if power not in ball:
                     continue
                 raw_factors = ball.factors(power)
                 assert verify_factors(power, raw_factors, ball.relators)

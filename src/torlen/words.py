@@ -237,6 +237,17 @@ def multiply_ints(a: IntWord, b: IntWord) -> IntWord:
     return a[: n - i] + b[i:]
 
 
+def cyclic_split_ints(iw: IntWord) -> tuple[IntWord, IntWord, IntWord]:
+    """Split a freely reduced word as ``head core tail`` with ``tail`` the
+    inverse of ``head`` and ``core`` cyclically reduced.  Then the n-th
+    power of ``iw`` reduces to ``head + core * n + tail`` for every n >= 1."""
+    n = len(iw)
+    k = 0
+    while n - 2 * k >= 2 and iw[k] == -iw[n - 1 - k]:
+        k += 1
+    return iw[:k], iw[k : n - k], iw[n - k :]
+
+
 def least_rotation(w: tuple, w_inverse: tuple) -> tuple:
     """The least rotation, in tuple order, of ``w`` or of its inverse:
     a canonical representative of the cyclic word up to inversion.

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from torlen import cli
 from torlen.cli import main
 
 PJKL_222 = "gens: x y z\nrel: x x\nrel: y y\nrel: x y z^-1 z^-1\n"
@@ -144,3 +146,29 @@ def test_budget_scale_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TORLEN_BUDGET_SCALE", "zero")
     with pytest.raises(SystemExit):
         run(capsys, "torsion-search", str(path))
+
+
+def test_tampered_supporting_certificate_fails_its_dependents(tmp_path, capsys, monkeypatch):
+    real_search = cli.torsion_certificate_search
+    dependent = []
+
+    def search_with_one_tampered_support(*args, **kwargs):
+        report = real_search(*args, **kwargs)
+        assert all(c.verify() for c in report.certificates)  # caches every check
+        victim = report.certificates[0].supporting[0]
+        bad = replace(victim, exponent=victim.exponent + 1)
+        certs = []
+        for c in report.certificates:
+            dependent.append(victim in c.supporting)
+            supporting = tuple(bad if s == victim else s for s in c.supporting)
+            certs.append(replace(c, supporting=supporting))
+        return replace(report, certificates=tuple(certs))
+
+    monkeypatch.setattr(cli, "torsion_certificate_search", search_with_one_tampered_support)
+    path = tmp_path / "p.txt"
+    path.write_text(PJKL_222)
+    code, out, _ = run(capsys, "torsion-search", str(path), "--level", "2", "--word-bound", "4")
+    assert code == 0
+    verified = [c["verified"] for c in json.loads(out)["certificates"]]
+    assert any(dependent) and len(verified) == len(dependent)
+    assert verified == [not d for d in dependent]

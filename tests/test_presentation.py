@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants
 from torlen.constructions import build_ln, build_pn, build_qn, build_tgen
@@ -224,6 +225,40 @@ def test_round_trip():
 )
 def test_emitted_presentations_round_trip(build):
     p = build()
+    assert parse_presentation(serialize_presentation(p)) == p
+
+
+# Names the builders also make or reserve (x, y, a, b, t and their _k
+# variants), so fresh names are drawn for clashes at every step.
+CLASH_NAMES = ("x", "x_1", "x_2", "y", "y_1", "a", "a_1", "b", "t", "t_1", "z")
+
+
+@st.composite
+def clashing_presentations(draw):
+    gens = draw(st.lists(st.sampled_from(CLASH_NAMES), min_size=1, max_size=4, unique=True))
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relators = draw(
+        st.lists(st.lists(letter, min_size=1, max_size=4).map(tuple), max_size=3)
+    )
+    return Presentation(tuple(gens), tuple(Word(r) for r in relators))
+
+
+EMITTERS = {
+    "qn": lambda data: build_qn(data.draw(st.integers(min_value=1, max_value=3))),
+    "ln": lambda data: build_ln(data.draw(clashing_presentations())).presentation,
+    "free_product": lambda data: free_product(
+        data.draw(clashing_presentations()), data.draw(clashing_presentations())
+    ).presentation,
+    "tgen_intermediate": lambda data: build_tgen(data.draw(clashing_presentations())).intermediate,
+    "tgen": lambda data: build_tgen(data.draw(clashing_presentations())).presentation,
+}
+
+
+@pytest.mark.parametrize("emitter", sorted(EMITTERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_emitted_presentations_round_trip_property(emitter, data):
+    p = EMITTERS[emitter](data)
     assert parse_presentation(serialize_presentation(p)) == p
 
 

@@ -1,7 +1,10 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
 from torlen.presentation import Presentation, canonicalize, free_product
@@ -13,7 +16,7 @@ from torlen.torsion import (
     torsion_quotient_step,
     visible_torsion_generators,
 )
-from torlen.words import Word
+from torlen.words import Word, invert_ints, reduce_ints
 
 
 def P(gens, *relators):
@@ -37,6 +40,63 @@ def test_closure_ball_contains_relator_consequences():
     assert (1, 1) in ball
     assert (1, 1, 1, 1) in ball
     assert (1,) not in ball
+
+
+def reference_ball(relators, n_generators, max_len, max_depth, max_states):
+    """The closure BFS with every child reduced from scratch: the
+    reference that ``closure_ball``'s seam-only cancellation must match,
+    down to the order in which states are found."""
+    rels = tuple(reduce_ints(r) for r in relators)
+    moves = []
+    for ridx, rel in enumerate(rels):
+        if not rel:
+            continue
+        for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
+            seen = set()
+            for k in range(len(oriented)):
+                rotated = oriented[k:] + oriented[:k]
+                if rotated not in seen:
+                    seen.add(rotated)
+                    moves.append((ridx, sign, k, rotated))
+    letters = list(range(1, n_generators + 1)) + [-g for g in range(1, n_generators + 1)]
+    parents = {(): ((), ("root",))}
+    queue = deque([((), 0)])
+    while queue:
+        word, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        children = [
+            (reduce_ints(word[:pos] + rotated + word[pos:]), ("ins", pos, ridx, sign, k))
+            for pos in range(len(word) + 1)
+            for ridx, sign, k, rotated in moves
+        ]
+        children += [(reduce_ints((g,) + word + (-g,)), ("conj", g)) for g in letters]
+        for new, move in children:
+            if len(new) > max_len or new in parents:
+                continue
+            if len(parents) >= max_states:
+                return parents, False
+            parents[new] = (word, move)
+            queue.append((new, depth + 1))
+    return parents, True
+
+
+small_relators = st.lists(
+    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=5).map(tuple),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(small_relators, st.integers(min_value=1, max_value=5), st.sampled_from((50, 2000)))
+@example([(1, 2, -1)], 4, 2000)  # a b a^-1: its rotations are not reduced
+@example([(1, 1, 2, -1, -1), (2, 2)], 4, 2000)
+def test_closure_ball_matches_whole_word_reduction(relators, max_len, max_states):
+    ball = closure_ball(relators, 2, max_len=max_len, max_depth=3, max_states=max_states)
+    parents, exhausted = reference_ball(relators, 2, max_len, 3, max_states)
+    assert list(ball.parents.items()) == list(parents.items())
+    assert ball.exhausted == exhausted
 
 
 # -- certified class and quotient steps ------------------------------------
@@ -171,6 +231,19 @@ def test_certificate_verification_rejects_tampering():
     from dataclasses import replace
 
     assert not replace(cert, exponent=cert.exponent + 1).verify()
+
+
+def test_supporting_certificates_are_verified_once(monkeypatch):
+    report = torsion_certificate_search(build_pjkl(2, 2, 2), level=2, word_bound=4)
+    supporting = {id(s): s for c in report.certificates for s in c.supporting}
+    assert supporting and len(report.certificates) > len(supporting)
+    calls = []
+    real = torsion.verify_factors
+    monkeypatch.setattr(
+        torsion, "verify_factors", lambda *args: calls.append(1) or real(*args)
+    )
+    assert all(c.verify() for c in report.certificates)
+    assert len(calls) == len(report.certificates) + len(supporting)
 
 
 def test_certified_words_helper():

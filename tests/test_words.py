@@ -6,6 +6,7 @@ from torlen.words import (
     Word,
     WordError,
     cyclic_reduce,
+    cyclic_split_ints,
     free_reduce,
     fresh_symbol,
     is_cyclically_reduced,
@@ -142,6 +143,18 @@ def test_least_rotation_matches_rotation_sets(u, v):
 def test_multiply_ints_is_reduced_concatenation(a, b):
     a, b = reduce_ints(a), reduce_ints(b)
     assert multiply_ints(a, b) == reduce_ints(a + b)
+
+
+@given(int_words, st.integers(min_value=1, max_value=6))
+def test_cyclic_split_gives_powers_in_closed_form(w, n):
+    w = reduce_ints(w)
+    head, core, tail = cyclic_split_ints(w)
+    assert head + core + tail == w
+    assert tail == invert_ints(head)
+    assert reduce_ints(core + core) == core + core  # cyclically reduced
+    power = head + core * n + tail
+    assert power == reduce_ints(w * n)
+    assert len(power) == 2 * len(head) + n * len(core)
 
 
 names = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
