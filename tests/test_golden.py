@@ -1,5 +1,6 @@
 """Golden outputs: every CLI subcommand on fixed inputs, plus digests of
-the level-2 torsion certificates and of Nielsen reduction.
+the level-2 torsion certificates, of Nielsen reduction and of Stallings
+folding.
 
 The golden file holds stdout (split into lines) and the exit code of
 each command; stderr carries wall time and is not compared.  To write
@@ -17,8 +18,9 @@ import random
 from pathlib import Path
 
 from torlen.cli import main
-from torlen.constructions import build_pjkl
-from torlen.stallings import nielsen_reduce
+from torlen.constructions import build_ln, build_pjkl, build_pn
+from torlen.presentation import serialize_presentation
+from torlen.stallings import build_subgroup_graph, free_basis, nielsen_reduce
 from torlen.torsion import torsion_certificate_search
 from torlen.words import Word, free_reduce
 
@@ -131,6 +133,18 @@ def nielsen_digest() -> str:
     return hashlib.sha256(repr(reduced).encode()).hexdigest()
 
 
+def fold_digest() -> str:
+    """Folded graphs and free bases of criterion 8's subgroups, plus the
+    torsion lift of P_1..P_7 (its basis comes from folding the relators)."""
+    folds = []
+    for gens in criterion_8_cases():
+        graph = build_subgroup_graph(("a", "b"), gens)
+        basis = tuple(w.letters for w in free_basis(graph).words)
+        folds.append((graph.n_vertices, graph.edges, basis))
+    lifts = [serialize_presentation(build_ln(build_pn(n)).presentation) for n in range(1, 8)]
+    return hashlib.sha256(repr((folds, lifts)).encode()).hexdigest()
+
+
 def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
     expected = json.loads(GOLDEN.read_text())
@@ -144,6 +158,10 @@ def test_certificate_and_nielsen_digests_match_golden():
     expected = json.loads(GOLDEN.read_text())
     assert certificates_digest() == expected["level2_certificates_sha256"]
     assert nielsen_digest() == expected["nielsen_reduce_sha256"]
+
+
+def test_fold_digest_matches_golden():
+    assert fold_digest() == json.loads(GOLDEN.read_text())["fold_sha256"]
 
 
 if __name__ == "__main__":
@@ -168,5 +186,6 @@ if __name__ == "__main__":
         "commands": commands,
         "level2_certificates_sha256": certificates_digest(),
         "nielsen_reduce_sha256": nielsen_digest(),
+        "fold_sha256": fold_digest(),
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
