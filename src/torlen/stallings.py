@@ -69,101 +69,96 @@ class SubgroupGraph:
         return len(self.edges) - self.n_vertices + 1
 
 
-def build_subgroup_graph(
-    ambient: Sequence[str], generators: Iterable[Word], fold_seed: int | None = None
-) -> SubgroupGraph:
-    """Wedge of loops at the base, fully folded and core-pruned.
-
-    ``fold_seed`` shuffles the fold order (used by the confluence
-    tests); the folded result is independent of it.
-    """
+def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> SubgroupGraph:
+    """Wedge of loops at the base, fully folded and core-pruned."""
     ambient = tuple(ambient)
-    ambient_set = set(ambient)
-    words = [free_reduce(w) for w in generators]
-    for w in words:
-        extra = w.symbols() - ambient_set
-        if extra:
-            raise ValueError(f"generator word uses non-ambient symbol(s) {sorted(extra)}")
+    index = {g: i for i, g in enumerate(ambient)}
+    words = []
+    for w in generators:
+        try:
+            words.append(reduce_ints(word_to_ints(w, index)))
+        except KeyError:
+            extra = sorted(w.symbols() - index.keys())
+            raise ValueError(f"generator word uses non-ambient symbol(s) {extra}") from None
 
+    # maps[v]: letter -> neighbour in both directions (an edge u -x-> v
+    # is maps[u][x] = v and maps[v][-x] = u), over union-find roots only
     uf = UnionFind(1)
-    edges: list[tuple[int, str, int]] = []  # positively oriented
-    base = 0
+    maps: list[dict[int, int]] = [{}]
+    work = []  # edges to add, (source, letter, target)
     for w in words:
-        prev = base
-        for k, (g, s) in enumerate(w.letters):
-            nxt = base if k == len(w.letters) - 1 else uf.add()
-            if s == 1:
-                edges.append((prev, g, nxt))
+        prev = 0
+        for k, x in enumerate(w, 1):
+            if k == len(w):
+                nxt = 0
             else:
-                edges.append((nxt, g, prev))
+                nxt = uf.add()
+                maps.append({})
+            work.append((prev, x, nxt))
             prev = nxt
 
-    if fold_seed is not None:
-        import random
+    # fold: an edge whose letter is already taken at either end merges
+    # the two neighbours; the dropped vertex's edges go back on the list
+    while work:
+        u, x, v = work.pop()
+        u, v = uf.find(u), uf.find(v)
+        a, b = maps[u].get(x), maps[v].get(-x)
+        if a is None and b is None:
+            maps[u][x] = v
+            maps[v][-x] = u
+            continue
+        if a == v:
+            continue
+        p, q = (a, v) if a is not None else (b, u)
+        keep = uf.union(p, q)
+        drop = p + q - keep
+        dropped, maps[drop] = maps[drop], {}
+        for y, t in dropped.items():
+            if t != drop:
+                del maps[t][-y]
+            work.append((keep, y, t))
 
-        random.Random(fold_seed).shuffle(edges)
+    # core-prune: drop non-base leaves; every vertex stays connected to
+    # the base, so a leaf still has its one edge when it is popped
+    leaves = [v for v in range(1, len(maps)) if len(maps[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        ((x, w),) = maps[v].items()
+        maps[v] = {}
+        del maps[w][-x]
+        if w and len(maps[w]) == 1:
+            leaves.append(w)
 
-    # fold to a deterministic graph
-    changed = True
-    while changed:
-        changed = False
-        out: dict[tuple[int, str], int] = {}
-        incoming: dict[tuple[int, str], int] = {}
-        canon = set()
-        for u, g, v in edges:
-            u, v = uf.find(u), uf.find(v)
-            if (u, g, v) in canon:
-                continue
-            if (u, g) in out and out[(u, g)] != v:
-                uf.union(out[(u, g)], v)
-                changed = True
-                break
-            if (v, g) in incoming and incoming[(v, g)] != u:
-                uf.union(incoming[(v, g)], u)
-                changed = True
-                break
-            out[(u, g)] = v
-            incoming[(v, g)] = u
-            canon.add((u, g, v))
-        if not changed:
-            edges = sorted(canon)
-
-    # core-prune: drop non-base vertices of degree 1 (base always kept)
-    base = uf.find(base)
-    while True:
-        degree: dict[int, int] = {}
-        for u, g, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        leaves = {v for v, d in degree.items() if d == 1 and v != base}
-        if not leaves:
-            break
-        edges = [e for e in edges if e[0] not in leaves and e[2] not in leaves]
-
-    return _relabel_bfs(ambient, base, edges)
+    names = {0: 0}
+    for v in _bfs_tree(maps, 0):
+        names[v] = len(names)
+    edges = tuple(
+        sorted(
+            (names[u], ambient[x - 1], names[v])
+            for u in names
+            for x, v in maps[u].items()
+            if x > 0
+        )
+    )
+    return SubgroupGraph(ambient, 0, len(names), edges)
 
 
-def _relabel_bfs(ambient, base, edges) -> SubgroupGraph:
-    """Canonical form: breadth-first relabeling from the base with edge
-    order given by (label order, direction)."""
-    label_order = {g: i for i, g in enumerate(ambient)}
-    adjacency: dict[int, list[tuple[int, int, int]]] = {}
-    for u, g, v in edges:
-        adjacency.setdefault(u, []).append((label_order[g], 0, v))
-        adjacency.setdefault(v, []).append((label_order[g], 1, u))
-    names = {base: 0}
+def _bfs_tree(maps, base) -> dict[int, tuple[int, int]]:
+    """Breadth-first spanning tree from ``base`` that takes each vertex's
+    letters in (label, direction) order: vertex -> (parent, letter) for
+    every vertex but the base, in the order the search reaches them.  On
+    a folded graph this order depends on nothing but the graph's shape."""
+    tree = {}
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for _, _, v in sorted(adjacency.get(u, [])):
-            if v not in names:
-                names[v] = len(names)
+        step = maps[u]
+        for x in sorted(step, key=lambda x: (abs(x), x < 0)):
+            v = step[x]
+            if v != base and v not in tree:
+                tree[v] = (u, x)
                 queue.append(v)
-    # isolated base with no edges
-    if base not in names:
-        names[base] = 0
-    new_edges = tuple(sorted((names[u], g, names[v]) for u, g, v in edges))
-    return SubgroupGraph(ambient, 0, len(names), new_edges)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -171,39 +166,23 @@ class FreeBasis:
     words: tuple[Word, ...]
 
 
-def _spanning_tree(graph: SubgroupGraph):
-    """BFS spanning tree; returns (path words to each vertex, non-tree
-    edges in discovery order)."""
-    label_order = {g: i for i, g in enumerate(graph.ambient)}
-    adjacency: dict[int, list[tuple[int, int, int, tuple[int, str, int]]]] = {}
-    for edge in graph.edges:
-        u, g, v = edge
-        adjacency.setdefault(u, []).append((label_order[g], 0, v, edge))
-        adjacency.setdefault(v, []).append((label_order[g], 1, u, edge))
-    paths: dict[int, Word] = {graph.base: Word.empty()}
-    tree_edges = set()
-    queue = deque([graph.base])
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for _, direction, v, edge in sorted(adjacency.get(u, []), key=lambda t: t[:3]):
-            if v not in paths:
-                paths[v] = paths[u] * Word(((edge[1], 1 if direction == 0 else -1),))
-                tree_edges.add(edge)
-                queue.append(v)
-    non_tree = [e for e in graph.edges if e not in tree_edges]
-    return paths, non_tree
-
-
 def free_basis(graph: SubgroupGraph) -> FreeBasis:
-    """One basis word per non-tree edge: base-to-source path, the edge,
-    target-to-base path."""
-    paths, non_tree = _spanning_tree(graph)
+    """One basis word per non-tree edge of the breadth-first spanning
+    tree: base-to-source path, the edge, target-to-base path."""
+    index = {g: i + 1 for i, g in enumerate(graph.ambient)}
+    maps: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
+    for u, g, v in graph.edges:
+        maps[u][index[g]] = v
+        maps[v][-index[g]] = u
+    paths = {graph.base: ()}
+    for v, (u, x) in _bfs_tree(maps, graph.base).items():
+        paths[v] = paths[u] + (x,)
     words = []
-    for u, g, v in non_tree:
-        w = paths[u] * Word(((g, 1),)) * paths[v].inverse()
-        words.append(free_reduce(w))
+    for u, g, v in graph.edges:
+        # a tree edge closes a loop that reduces to the empty word
+        w = reduce_ints(paths[u] + (index[g],) + invert_ints(paths[v]))
+        if w:
+            words.append(ints_to_word(w, graph.ambient))
     return FreeBasis(tuple(words))
 
 

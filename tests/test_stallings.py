@@ -65,11 +65,17 @@ def test_nielsen_schreier_sanity():
     assert graph.rank() == 2
 
 
-def test_fold_confluence_under_seed_shuffles():
-    gens = [Word.from_text(t) for t in ("a b a^-1", "b b", "a b^-1 a b")]
-    reference = build_subgroup_graph(F2, gens)
-    for seed in range(12):
-        assert build_subgroup_graph(F2, gens, fold_seed=seed) == reference
+def test_fold_ignores_generator_order_and_inversion():
+    # a different fold order for the same subgroup gives the same graph
+    rng = random.Random(5)
+    cases = [[Word.from_text(t) for t in ("a b a^-1", "b b", "a b^-1 a b")]]
+    cases += [[random_reduced_word(rng, F2, 5) for _ in range(rng.randint(2, 4))] for _ in range(30)]
+    for gens in cases:
+        reference = build_subgroup_graph(F2, gens)
+        for _ in range(8):
+            shuffled = rng.sample(gens, len(gens))
+            shuffled = [g.inverse() if rng.random() < 0.5 else g for g in shuffled]
+            assert build_subgroup_graph(F2, shuffled) == reference
 
 
 def test_membership_accepts_generator_products():
@@ -146,3 +152,5 @@ def test_graph_report_shape():
 def test_rejects_non_ambient_symbols():
     with pytest.raises(ValueError):
         build_subgroup_graph(("a",), [Word.from_text("b")])
+    with pytest.raises(ValueError):
+        build_subgroup_graph(("a",), [Word.from_text("a b b^-1")])
