@@ -16,7 +16,7 @@ from .presentation import (
     hnn_presentation,
 )
 from .stallings import build_subgroup_graph, free_basis
-from .words import Word, concat, free_reduce, fresh_symbol
+from .words import Word, fresh_symbol
 
 
 def build_pjkl(j: int, k: int, l: int) -> Presentation:
@@ -68,11 +68,9 @@ def build_pn(n: int, exponent: int = 3) -> Presentation:
     for depth in range(max(0, n - 1)):
         for eta in _binary_strings(depth):
             relators.append(
-                free_reduce(
-                    Word.gen(_pn_gen(eta + "0"))
-                    * Word.gen(_pn_gen(eta + "1"))
-                    * Word.gen(_pn_gen(eta), -exponent)
-                )
+                Word.gen(_pn_gen(eta + "0"))
+                * Word.gen(_pn_gen(eta + "1"))
+                * Word.gen(_pn_gen(eta), -exponent)
             )
     return Presentation(tuple(gens), tuple(relators))
 
@@ -156,20 +154,6 @@ class LnResult:
     degenerate: bool  # input had no relators; output is just G * (C2*C3)
 
 
-def _expand_ab(word_in_ab: Word, x: str, y: str) -> Word:
-    """Rewrite a word over the abstract letters a, b using a = yxy and
-    b = xyxyx inside C2 * C3."""
-    a_word = Word.from_text(f"{y} {x} {y}")
-    b_word = Word.from_text(f"{x} {y} {x} {y} {x}")
-    images = {"a": a_word, "b": b_word}
-    return free_reduce(
-        concat(
-            images[g] if s == 1 else images[g].inverse()
-            for g, s in word_in_ab.letters
-        )
-    )
-
-
 def build_ln(p: Presentation) -> LnResult:
     """One torsion-lift step: a presentation whose group maps onto the
     input group with kernel exactly the first torsion subgroup.
@@ -189,11 +173,10 @@ def build_ln(p: Presentation) -> LnResult:
 
     gens = p.generators + (x, y)
     relators = [Word.gen(x, 2), Word.gen(y, 3)]
-    ab = Word.from_text("a")
-    bb = Word.from_text("b")
+    a = Word.from_text(f"{y} {x} {y}")
+    b = Word.from_text(f"{x} {y} {x} {y} {x}")
     for i, t_word in enumerate(basis, start=1):
-        glued = bb ** (-i) * ab * bb**i
-        relators.append(free_reduce(t_word * _expand_ab(glued, x, y).inverse()))
+        relators.append(t_word * (b ** (-i) * a * b**i).inverse())
     return LnResult(Presentation(gens, tuple(relators)), r, basis, degenerate)
 
 

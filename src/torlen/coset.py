@@ -155,7 +155,7 @@ def todd_coxeter(
         extra = w.symbols() - set(p.generators)
         if extra:
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
-    relators = [_word_to_letters(free_reduce(r), index) for r in p.relators]
+    relators = [_word_to_letters(r, index) for r in p.relators]
     relators = [r for r in relators if r]
     subgroup_words = [_word_to_letters(w, index) for w in subgroup if w]
 

@@ -166,9 +166,7 @@ def hnn_presentation(
         if extra:
             raise PresentationError(f"pair word mentions undeclared generator(s) {sorted(extra)}")
     t = Word.gen(stable)
-    new_rels = tuple(
-        free_reduce(t.inverse() * u * t * v.inverse()) for u, v in pairs
-    )
+    new_rels = tuple(t.inverse() * u * t * v.inverse() for u, v in pairs)
     return Presentation(p.generators + (stable,), p.relators + new_rels)
 
 
@@ -324,7 +322,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 # -- serialization --------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -120,9 +120,6 @@ def _component_in_class(gens: list[str], relinfo: list) -> bool:
     for g in gens:
         if g not in powers and g not in defined:
             return False
-    leaves = [g for g in gens if g in powers]
-    if len(powers) != len(leaves):
-        return False
     if any(abs(e) < 2 for e in powers.values()):
         return False  # a trivial child would collapse the amalgam
     # tree shape: #nodes = 2 * #links + 1, single root, acyclic
@@ -227,10 +224,9 @@ def torsion_length(p: Presentation, max_iter: int = 32) -> TorsionLengthReport:
     for _ in range(max_iter):
         step = torsion_quotient_step(current)
         if not step.killed:
-            certified_free = step.sound and not visible_torsion_generators(current)
-            return TorsionLengthReport(
-                len(trace), all_sound and certified_free, all_sound and certified_free, tuple(trace)
-            )
+            # no visible torsion is left, so a sound step means torsion-free
+            exact = all_sound and step.sound
+            return TorsionLengthReport(len(trace), exact, exact, tuple(trace))
         trace.append((current, step.killed, step.presentation))
         all_sound = all_sound and step.sound
         current = step.presentation

@@ -37,6 +37,16 @@ def test_roundtrip_through_file(tmp_path, capsys):
     assert "rel: g0 g0 g0" in out
 
 
+def test_gen_chain_output_parses_back(tmp_path, capsys):
+    # chain generators carry a per-factor tag such as f1.x_
+    path = tmp_path / "c.txt"
+    code, _, _ = run(capsys, "gen", "chain", "--m", "3", "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "torlen", str(path))
+    assert code == 0
+    assert json.loads(out)["exact"] is True
+
+
 def test_torlen_report(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text(PJKL_222)

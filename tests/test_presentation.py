@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants
-from torlen.constructions import build_ln, build_pn, build_qn, build_tgen
+from torlen.constructions import build_chain, build_ln, build_pn, build_qn, build_tgen
 from torlen.presentation import (
     Presentation,
     PresentationError,
@@ -244,6 +244,7 @@ def clashing_presentations(draw):
 
 
 EMITTERS = {
+    "chain": lambda data: build_chain(data.draw(st.integers(min_value=0, max_value=3))),
     "qn": lambda data: build_qn(data.draw(st.integers(min_value=1, max_value=3))),
     "ln": lambda data: build_ln(data.draw(clashing_presentations())).presentation,
     "free_product": lambda data: free_product(

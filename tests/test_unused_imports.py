@@ -1,4 +1,6 @@
-"""Every name a package module imports is referenced in that module.
+"""Every name a package module imports is referenced in that module,
+and so is every private (``_name``) function or class it defines at
+module level.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -49,9 +51,26 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
+def unused_private_definitions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = referenced_names(tree)
+    return sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    assert unused_private_definitions(path.read_text()) == []
 
 
 def test_scan_flags_an_unused_import():
@@ -63,3 +82,18 @@ def test_scan_flags_an_unused_import():
         "    return x\n"
     )
     assert unused_imports(source) == ["Sequence (line 3)", "os (line 2)"]
+
+
+def test_scan_flags_an_unused_private_definition():
+    source = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _orphan():\n"
+        "    return _used()\n"
+        "class _Orphan:\n"
+        "    def _method(self):\n"
+        "        return 2\n"
+        "def public():\n"
+        "    return 3\n"
+    )
+    assert unused_private_definitions(source) == ["_Orphan (line 5)", "_orphan (line 3)"]
