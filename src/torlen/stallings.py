@@ -84,18 +84,11 @@ def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> 
     # maps[v]: letter -> neighbour in both directions (an edge u -x-> v
     # is maps[u][x] = v and maps[v][-x] = u), over union-find roots only
     uf = UnionFind(1)
-    maps: list[dict[int, int]] = [{}]
     work = []  # edges to add, (source, letter, target)
     for w in words:
-        prev = 0
-        for k, x in enumerate(w, 1):
-            if k == len(w):
-                nxt = 0
-            else:
-                nxt = uf.add()
-                maps.append({})
-            work.append((prev, x, nxt))
-            prev = nxt
+        path = [0] + [uf.add() for _ in w[1:]] + [0]
+        work += zip(path, w, path[1:])
+    maps: list[dict[int, int]] = [{} for _ in uf.parent]
 
     # fold: an edge whose letter is already taken at either end merges
     # the two neighbours; the dropped vertex's edges go back on the list
