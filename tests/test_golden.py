@@ -1,6 +1,6 @@
 """Golden outputs: every CLI subcommand on fixed inputs, plus digests of
-the level-2 torsion certificates, of Nielsen reduction and of Stallings
-folding.
+the level-2 torsion certificates, of Nielsen reduction, of Stallings
+folding and of coset enumeration.
 
 The golden file holds stdout (split into lines) and the exit code of
 each command; stderr carries wall time and is not compared.  To write
@@ -19,7 +19,8 @@ from pathlib import Path
 
 from torlen.cli import main
 from torlen.constructions import build_ln, build_pjkl, build_pn
-from torlen.presentation import serialize_presentation
+from torlen.coset import todd_coxeter
+from torlen.presentation import Presentation, adjoin_relators, serialize_presentation
 from torlen.stallings import build_subgroup_graph, free_basis, nielsen_reduce
 from torlen.torsion import torsion_certificate_search
 from torlen.words import Word, free_reduce
@@ -145,6 +146,48 @@ def fold_digest() -> str:
     return hashlib.sha256(repr((folds, lifts)).encode()).hexdigest()
 
 
+def fibonacci(n: int) -> Presentation:
+    """F(2,n) = < a_i | a_i a_(i+1) = a_(i+2) >, indices mod n."""
+    a = [f"a{i}" for i in range(n)]
+    rels = [Word.from_text(f"{a[i]} {a[(i + 1) % n]} {a[(i + 2) % n]}^-1") for i in range(n)]
+    return Presentation(tuple(a), tuple(rels))
+
+
+def coxeter_sym(n: int) -> Presentation:
+    """Coxeter presentation of S_n on the transpositions s1..s(n-1)."""
+    s = [f"s{i}" for i in range(1, n)]
+    rels = [Word.from_text(f"{g} {g}") for g in s]
+    rels += [Word.from_text(f"{s[i]} {s[i + 1]} " * 3) for i in range(len(s) - 1)]
+    rels += [
+        Word.from_text(f"{s[i]} {s[j]} " * 2)
+        for i in range(len(s))
+        for j in range(i + 2, len(s))
+    ]
+    return Presentation(tuple(s), tuple(rels))
+
+
+def coset_digest() -> str:
+    """Coset enumeration of criterion 4's P_{j,k,l}+x,y grid, of x^k for
+    k = 2..50, of F(2,5) and F(2,7), of S_6 and S_7 over <s1>, and of
+    P_{2,2,2}, which stays bound_exceeded at the default budget."""
+    xy = [Word.gen("x"), Word.gen("y")]
+    runs = [(build_pn(1), (), 10_000)]
+    for j in range(2, 7):
+        for k in range(2, 7):
+            for l in range(2, 7):
+                runs.append((adjoin_relators(build_pjkl(j, k, l), xy), (), 10_000))
+    for k in range(2, 51):
+        runs.append((Presentation(("x",), (Word((("x", 1),) * k),)), (), 10_000))
+    runs += [(fibonacci(5), (), 10_000), (fibonacci(7), (), 200_000)]
+    runs += [(coxeter_sym(n), (Word.gen("s1"),), 10_000) for n in (6, 7)]
+    runs.append((build_pjkl(2, 2, 2), (), 10_000))
+    tables = []
+    for p, subgroup, limit in runs:
+        t = todd_coxeter(p, subgroup, max_cosets=limit)
+        tables.append((t.status, t.index, t.limit, t.digest()))
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
 def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
     expected = json.loads(GOLDEN.read_text())
@@ -162,6 +205,10 @@ def test_certificate_and_nielsen_digests_match_golden():
 
 def test_fold_digest_matches_golden():
     assert fold_digest() == json.loads(GOLDEN.read_text())["fold_sha256"]
+
+
+def test_coset_digest_matches_golden():
+    assert coset_digest() == json.loads(GOLDEN.read_text())["coset_sha256"]
 
 
 if __name__ == "__main__":
@@ -187,5 +234,6 @@ if __name__ == "__main__":
         "level2_certificates_sha256": certificates_digest(),
         "nielsen_reduce_sha256": nielsen_digest(),
         "fold_sha256": fold_digest(),
+        "coset_sha256": coset_digest(),
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
