@@ -1,7 +1,7 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
 Relator-tracing with immediate coincidence processing over a
-union-find of cosets.  Completion certifies the index of the given
+union-find of cosets; table entries only ever name live cosets.  Completion certifies the index of the given
 subgroup; exceeding the coset budget only means "not certified finite
 at this budget", never "infinite".
 """
@@ -47,92 +47,84 @@ class CosetTable:
 
 class _Enumerator(UnionFind):
     """Coset table over letters 2i (generator i) and 2i+1 (its inverse),
-    so letter ^ 1 is the inverse letter; the union-find merges
-    coincident cosets into the least one."""
+    so letter ^ 1 is the inverse letter.  Between calls every entry of a
+    live coset names a live coset, so scans read the table directly; a
+    coset is dead once the union-find has merged it into a lesser one."""
 
     def __init__(self, n_letters: int, max_cosets: int):
         super().__init__(1)
         self.n_letters = n_letters
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * n_letters]
+        self.table: list[list[int | None] | None] = [[None] * n_letters]
         self.live_count = 1
 
     def define(self, a: int, x: int) -> int:
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
         b = self.add()
-        self.table.append([None] * self.n_letters)
-        self.live_count += 1
+        row = [None] * self.n_letters
+        row[x ^ 1] = a
+        self.table.append(row)
         self.table[a][x] = b
-        self.table[b][x ^ 1] = a
+        self.live_count += 1
         return b
 
-    def set_entry(self, a: int, x: int, b: int):
-        """Record a.x = b, processing any induced coincidences."""
-        queue = [(a, x, b)]
-        while queue:
-            a, x, b = queue.pop()
-            a, b = self.find(a), self.find(b)
-            cur = self.table[a][x]
-            if cur is not None and self.find(cur) != b:
-                self.merge(self.find(cur), b, queue)
-                a, b = self.find(a), self.find(b)
-            self.table[a][x] = b
-            cur = self.table[b][x ^ 1]
-            if cur is not None and self.find(cur) != a:
-                self.merge(self.find(cur), a, queue)
-                a, b = self.find(a), self.find(b)
-            self.table[self.find(b)][x ^ 1] = self.find(a)
+    def coincidence(self, a: int, b: int):
+        """Identify live cosets a and b and every coincidence this forces:
+        procedure COINCIDENCE of Holt, Eick & O'Brien, Handbook of
+        Computational Group Theory (2005), 5.1.  A FIFO holds the dead
+        cosets; each dead row's entries move to the survivors (the least
+        coset of each class) and the row is dropped."""
+        table, parent, find = self.table, self.parent, self.find
+        queue: list[int] = []
 
-    def merge(self, a: int, b: int, queue: list):
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return
-        keep, drop = min(a, b), max(a, b)
-        self.parent[drop] = keep
-        self.live_count -= 1
-        for x in range(self.n_letters):
-            entry = self.table[drop][x]
-            if entry is not None:
-                queue.append((keep, x, self.find(entry)))
+        def merge(c: int, d: int):
+            c, d = find(c), find(d)
+            if c != d:
+                if c > d:
+                    c, d = d, c
+                parent[d] = c
+                queue.append(d)
+
+        merge(a, b)
+        for e in queue:
+            for x, f in enumerate(table[e]):
+                if f is None:
+                    continue
+                table[f][x ^ 1] = None
+                mu = find(e)
+                nu = f if parent[f] == f else find(f)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+            table[e] = None
+        self.live_count -= len(queue)
 
     def scan_and_fill(self, start: int, word: tuple[int, ...]):
-        start = self.find(start)
-        # forward scan
+        """Trace word from live coset start, forwards and backwards,
+        defining cosets until the two ends meet or one entry closes the
+        gap (a deduction)."""
+        table = self.table
         f, fi = start, 0
-        while fi < len(word):
-            nxt = self.table[f][word[fi]]
-            if nxt is None:
-                break
-            f, fi = self.find(nxt), fi + 1
-        if fi == len(word):
-            if f != start:
-                q: list = []
-                self.merge(f, start, q)
-                self._drain(q)
-            return
-        # backward scan
         b, bi = start, len(word)
-        while bi > fi:
-            prev = self.table[b][word[bi - 1] ^ 1]
-            if prev is None:
-                break
-            b, bi = self.find(prev), bi - 1
-        if bi == fi:
-            q = []
-            self.merge(f, b, q)
-            self._drain(q)
-        elif bi == fi + 1:
-            self.set_entry(f, word[fi], b)
-        else:
-            nxt = self.define(f, word[fi])
-            self.scan_and_fill(start, word)
-            return
-
-    def _drain(self, queue: list):
-        while queue:
-            a, x, b = queue.pop()
-            self.set_entry(a, x, b)
+        while True:
+            while fi < bi and (nxt := table[f][word[fi]]) is not None:
+                f, fi = nxt, fi + 1
+            while bi > fi and (prev := table[b][word[bi - 1] ^ 1]) is not None:
+                b, bi = prev, bi - 1
+            if bi == fi:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            if bi == fi + 1:  # both slots are empty: the scans stopped there
+                table[f][word[fi]] = b
+                table[b][word[fi] ^ 1] = f
+                return
+            self.define(f, word[fi])
 
 
 def _word_to_letters(w: Word, index: dict[str, int]) -> tuple[int, ...]:
@@ -163,33 +155,27 @@ def todd_coxeter(
         return CosetTable("complete", 1, None, p.generators, ((),))
 
     enum = _Enumerator(2 * len(p.generators), max_cosets)
+    table, parent = enum.table, enum.parent
     try:
         for w in subgroup_words:
             enum.scan_and_fill(0, w)
         alpha = 0
-        while alpha < len(enum.table):
-            if enum.find(alpha) != alpha:
-                alpha += 1
-                continue
-            for rel in relators:
-                enum.scan_and_fill(alpha, rel)
-                if enum.find(alpha) != alpha:
-                    break
-            if enum.find(alpha) == alpha:
-                for x in range(enum.n_letters):
-                    if enum.find(alpha) != alpha:
+        while alpha < len(table):
+            if parent[alpha] == alpha:
+                for rel in relators:
+                    enum.scan_and_fill(alpha, rel)
+                    if parent[alpha] != alpha:
                         break
-                    if enum.table[alpha][x] is None:
-                        enum.define(alpha, x)
+                else:
+                    for x, entry in enumerate(table[alpha]):
+                        if entry is None:
+                            enum.define(alpha, x)
             alpha += 1
     except BoundExceeded as exc:
         return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
 
     # compact: renumber live cosets in allocation order
-    live = [a for a in range(len(enum.table)) if enum.find(a) == a]
+    live = [a for a in range(len(table)) if parent[a] == a]
     number = {a: i for i, a in enumerate(live)}
-    rows = tuple(
-        tuple(number[enum.find(enum.table[a][x])] for x in range(enum.n_letters))
-        for a in live
-    )
+    rows = tuple(tuple(number[e] for e in table[a]) for a in live)
     return CosetTable("complete", len(live), None, p.generators, rows)

@@ -1,8 +1,12 @@
+import json
 import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torlen.cli import main
 from torlen.constructions import build_pjkl, build_pn
 from torlen.coset import todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
@@ -101,3 +105,89 @@ def test_digest_is_reproducible():
 def test_rejects_undeclared_subgroup_words():
     with pytest.raises(ValueError):
         todd_coxeter(P("x", "x x"), [Word.gen("y")])
+
+
+def test_long_relator_completes(tmp_path, capsys):
+    # Each definition used to recurse into the scan: 2000 letters raised
+    # RecursionError.
+    path = tmp_path / "a2000.txt"
+    path.write_text("gens: a\nrel: " + " ".join(["a"] * 2000) + "\n")
+    assert main(["tc", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "complete" and out["index"] == 2000
+
+
+def test_coincidences_close_completely():
+    # b^6 = b a b b a b b = 1 with a = 1 gives b = 1: the trivial group.
+    p = P("a b c", "a", "b b b b b b", "c", "b a b b a b b")
+    t = todd_coxeter(p)
+    assert t.status == "complete" and t.index == 1
+    # b = 1 in Z * <b>, and a^-1 b a a = a, so the subgroup is everything.
+    p = P("a b", "b", "b", "b")
+    t = todd_coxeter(p, [Word.from_text("b^-1"), Word.from_text("a^-1 b a a")], max_cosets=50)
+    assert t.status == "complete" and t.index == 1
+
+
+GENERATORS = ("a", "b", "c")
+
+
+def words(gens, min_size, max_size):
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    return st.lists(letter, min_size=min_size, max_size=max_size).map(
+        lambda letters: Word(tuple(letters))
+    )
+
+
+@st.composite
+def presentations_with_subgroups(draw):
+    gens = GENERATORS[: draw(st.integers(1, 3))]
+    powers = [Word(((g, 1),) * draw(st.integers(1, 6))) for g in gens if draw(st.booleans())]
+    others = draw(st.lists(words(gens, 1, 8), max_size=3))
+    subgroup = draw(st.lists(words(gens, 1, 4), max_size=2))
+    return Presentation(gens, tuple(powers + others)), subgroup
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations_with_subgroups())
+def test_complete_tables_are_valid(case):
+    p, subgroup = case
+    t = todd_coxeter(p, subgroup, max_cosets=2000)
+    if t.status != "complete":
+        return
+    n = t.index
+    assert len(t.rows) == n
+    for x in range(2 * len(p.generators)):
+        column = [row[x] for row in t.rows]
+        assert sorted(column) == list(range(n))
+        assert all(t.rows[column[c]][x ^ 1] == c for c in range(n))
+    for coset in range(n):
+        for r in p.relators:
+            assert trace(t, coset, r) == coset
+    for w in subgroup:
+        assert trace(t, 0, w) == 0
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [d for c in frontier for d in t.rows[c] if d not in seen]
+        seen.update(frontier)
+    assert seen == set(range(n))
+
+
+@st.composite
+def finite_abelian_presentations(draw):
+    gens = GENERATORS[: draw(st.integers(1, 3))]
+    commutators = [Word.from_text(f"{g} {h} {g}^-1 {h}^-1") for g, h in combinations(gens, 2)]
+    powers = [Word(((g, 1),) * draw(st.integers(1, 6))) for g in gens]
+    extra = [
+        Word(draw(words(gens, 1, 3)).letters * draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return Presentation(gens, tuple(commutators + powers + extra))
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_abelian_presentations())
+def test_index_matches_abelianization_order(p):
+    t = todd_coxeter(p)
+    inv = abelianization(p)
+    assert inv.free_rank == 0
+    assert t.status == "complete" and t.index == math.prod(inv.torsion_coefficients)
