@@ -81,8 +81,7 @@ class _Enumerator(UnionFind):
         def merge(c: int, d: int):
             c, d = find(c), find(d)
             if c != d:
-                if c > d:
-                    c, d = d, c
+                c, d = min(c, d), max(c, d)
                 parent[d] = c
                 queue.append(d)
 
@@ -92,8 +91,7 @@ class _Enumerator(UnionFind):
                 if f is None:
                     continue
                 table[f][x ^ 1] = None
-                mu = find(e)
-                nu = f if parent[f] == f else find(f)
+                mu, nu = find(e), find(f)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x])
                 elif table[nu][x ^ 1] is not None:
