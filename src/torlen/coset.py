@@ -1,9 +1,10 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
 Relator-tracing with immediate coincidence processing over a
-union-find of cosets; table entries only ever name live cosets.  Completion certifies the index of the given
-subgroup; exceeding the coset budget only means "not certified finite
-at this budget", never "infinite".
+union-find of cosets; between scans, table entries name live cosets
+only.  Completion certifies the index of the given subgroup; exceeding
+the coset budget only means "not certified finite at this budget",
+never "infinite".
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ class _Enumerator(UnionFind):
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
         b = self.add()
-        row = [None] * self.n_letters
-        row[x ^ 1] = a
-        self.table.append(row)
-        self.table[a][x] = b
+        self.table.append([None] * self.n_letters)
         self.live_count += 1
+        self.table[a][x] = b
+        self.table[b][x ^ 1] = a
         return b
 
     def coincidence(self, a: int, b: int):

@@ -1,0 +1,82 @@
+"""Alternated parent/change pairs of the benchmark, written to one JSON file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload invariants --seeds 601-610 --out BENCH_6.json
+
+Each pair runs ``perfbench/run.py`` once in each checkout on the same
+seed, the parent first in even pairs and the change first in odd ones.
+The output file keeps every run's result line (the last line ``run.py``
+prints) under its workload, seed and side, plus the Python version and
+CPU count of the machine.  An existing file is extended, so the
+workloads can be run one at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def value(run: dict, metric: str) -> float:
+    return run["metrics"][metric]["value"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 601-610 or 1,5,9")
+    ap.add_argument("--seconds", type=int, default=35)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.update(python=platform.python_version(), cpus=os.cpu_count())
+    pairs = record.setdefault("pairs", [])
+    for i, seed in enumerate(args.seeds):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"workload": args.workload, "seed": seed, "first": sides[0]}
+        for side in sides:
+            pair[side] = run_once(getattr(args, side).resolve(), args.workload, seed, args.seconds)
+        pairs.append(pair)
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        print(seed, *(f"{m} {value(pair['parent'], m):.4g} -> {value(pair['change'], m):.4g}"
+                      for m in sorted(pair["parent"]["metrics"])),
+              f"failed {pair['parent']['failed']} -> {pair['change']['failed']}", flush=True)
+
+    mine = [p for p in pairs if p["workload"] == args.workload]
+    for m in sorted(mine[0]["parent"]["metrics"]):
+        before = [value(p["parent"], m) for p in mine]
+        after = [value(p["change"], m) for p in mine]
+        q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (0, 0, 0)
+        wins = sum(a < b for a, b in zip(after, before))
+        print(f"{args.workload} {m}: median {statistics.median(before):.4g} -> "
+              f"{statistics.median(after):.4g}, parent IQR {q3 - q1:.3g}, "
+              f"change lower in {wins}/{len(mine)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
