@@ -108,8 +108,7 @@ def test_rejects_undeclared_subgroup_words():
 
 
 def test_long_relator_completes(tmp_path, capsys):
-    # Each definition used to recurse into the scan: 2000 letters raised
-    # RecursionError.
+    # One scan makes 2000 definitions, more than Python's recursion limit.
     path = tmp_path / "a2000.txt"
     path.write_text("gens: a\nrel: " + " ".join(["a"] * 2000) + "\n")
     assert main(["tc", str(path)]) == 0
@@ -122,7 +121,7 @@ def test_coincidences_close_completely():
     p = P("a b c", "a", "b b b b b b", "c", "b a b b a b b")
     t = todd_coxeter(p)
     assert t.status == "complete" and t.index == 1
-    # b = 1 in Z * <b>, and a^-1 b a a = a, so the subgroup is everything.
+    # b = 1, so a^-1 b a a = a and the subgroup is the whole group.
     p = P("a b", "b", "b", "b")
     t = todd_coxeter(p, [Word.from_text("b^-1"), Word.from_text("a^-1 b a a")], max_cosets=50)
     assert t.status == "complete" and t.index == 1
