@@ -78,14 +78,14 @@ class _Enumerator(UnionFind):
         table, parent, find = self.table, self.parent, self.find
         queue: list[int] = []
 
-        def merge(c: int, d: int):
+        def identify(c: int, d: int):
             c, d = find(c), find(d)
             if c != d:
                 c, d = min(c, d), max(c, d)
                 parent[d] = c
                 queue.append(d)
 
-        merge(a, b)
+        identify(a, b)
         for e in queue:
             for x, f in enumerate(table[e]):
                 if f is None:
@@ -93,9 +93,9 @@ class _Enumerator(UnionFind):
                 table[f][x ^ 1] = None
                 mu, nu = find(e), find(f)
                 if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
+                    identify(nu, table[mu][x])
                 elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                    identify(mu, table[nu][x ^ 1])
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
