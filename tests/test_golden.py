@@ -1,6 +1,6 @@
 """Golden outputs: every CLI subcommand on fixed inputs, plus digests of
 the level-2 torsion certificates, of Nielsen reduction, of Stallings
-folding and of coset enumeration.
+folding, of coset enumeration and of Smith normal form.
 
 The golden file holds stdout (split into lines) and the exit code of
 each command; stderr carries wall time and is not compared.  To write
@@ -17,8 +17,9 @@ import os
 import random
 from pathlib import Path
 
+from torlen.abelian import smith_normal_form
 from torlen.cli import main
-from torlen.constructions import build_ln, build_pjkl, build_pn
+from torlen.constructions import build_chain, build_ln, build_pjkl, build_pn
 from torlen.coset import todd_coxeter
 from torlen.presentation import Presentation, adjoin_relators, serialize_presentation
 from torlen.stallings import build_subgroup_graph, free_basis, nielsen_reduce
@@ -188,6 +189,40 @@ def coset_digest() -> str:
     return hashlib.sha256(repr(tables).encode()).hexdigest()
 
 
+def exponent_matrix(p: Presentation) -> list[list[int]]:
+    """Relator exponent sums, one row per relator, one column per generator."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    matrix = []
+    for r in p.relators:
+        row = [0] * len(p.generators)
+        for g, s in r.letters:
+            row[index[g]] += s
+        matrix.append(row)
+    return matrix
+
+
+def snf_digest() -> str:
+    """Smith normal form of the exponent matrices of P_1..P_9, of the
+    P_{j,k,l} grid (j, k, l = 2..5) and of chain(1..5), plus 300 random
+    matrices up to 6 x 6; half of those have no unit entry."""
+    presentations = [build_pn(n) for n in range(1, 10)]
+    presentations += [
+        build_pjkl(j, k, l) for j in range(2, 6) for k in range(2, 6) for l in range(2, 6)
+    ]
+    presentations += [build_chain(m) for m in range(1, 6)]
+    matrices = [exponent_matrix(p) for p in presentations]
+    rng = random.Random(20261018)
+    no_unit = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    for i in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if i % 2:
+            matrices.append([[rng.choice(no_unit) for _ in range(cols)] for _ in range(rows)])
+        else:
+            matrices.append([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+    diagonals = [smith_normal_form(m) for m in matrices]
+    return hashlib.sha256(repr(diagonals).encode()).hexdigest()
+
+
 def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
     expected = json.loads(GOLDEN.read_text())
@@ -209,6 +244,10 @@ def test_fold_digest_matches_golden():
 
 def test_coset_digest_matches_golden():
     assert coset_digest() == json.loads(GOLDEN.read_text())["coset_sha256"]
+
+
+def test_snf_digest_matches_golden():
+    assert snf_digest() == json.loads(GOLDEN.read_text())["snf_sha256"]
 
 
 if __name__ == "__main__":
@@ -235,5 +274,6 @@ if __name__ == "__main__":
         "nielsen_reduce_sha256": nielsen_digest(),
         "fold_sha256": fold_digest(),
         "coset_sha256": coset_digest(),
+        "snf_sha256": snf_digest(),
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
