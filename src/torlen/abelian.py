@@ -6,7 +6,10 @@ Everything runs over Python's arbitrary-precision ints; entries like
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,146 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
 
     Returns the list of diagonal entries d_1 | d_2 | ... (non-negative,
     zeros trailing), of length min(rows, cols).
+
+    Relation matrices are sparse, so elimination runs on ``{col: value}``
+    rows with a column -> rows index, driven by worklists of touched rows:
+    first unit pivots, then divisor pivots (an entry dividing every other
+    entry of its row and column, which splits off diag(d, M') exactly).
+    Whatever is left goes to the dense residue solver, and the collected
+    diagonal is merged into invariant factors (Havas, Holt & Rees,
+    "Recognizing badly presented Z-modules", Linear Algebra Appl. 192,
+    1993).
     """
-    m = [row[:] for row in matrix]
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if n_rows else 0
+    rows = [{j: row[j] for j in compress(range(n_cols), row)} for row in matrix]
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    diag: list[int] = []
+
+    def eliminate(p: int, c: int) -> list[int]:
+        """Clear column c with pivot row p, whose entry there divides every
+        entry of row p and of column c; drop both.  Returns the touched rows."""
+        prow = rows[p]
+        d = prow[c]
+        touched = [r for r in cols[c] if r != p]
+        for r in touched:
+            row = rows[r]
+            f = row[c] // d
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        cols[j].add(r)
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+        for j in prow:
+            cols[j].discard(p)
+        rows[p] = {}
+        diag.append(abs(d))
+        return touched
+
+    def unit_pivot(p: int) -> int | None:
+        units = [j for j, v in rows[p].items() if v == 1 or v == -1]
+        return min(units, key=lambda j: len(cols[j])) if units else None
+
+    def divisor_pivot(p: int) -> int | None:
+        row = rows[p]
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        fits = [
+            j for j, v in row.items()
+            if abs(v) == g and all(rows[r][j] % g == 0 for r in cols[j])
+        ]
+        return min(fits, key=lambda j: len(cols[j])) if fits else None
+
+    unit_queue = deque(range(n_rows))
+    divisor_queue: deque[int] = deque()
+    full_sweep = False
+    while True:
+        while unit_queue:
+            p = unit_queue.popleft()
+            c = unit_pivot(p)
+            if c is not None:
+                touched = eliminate(p, c)
+                unit_queue.extend(touched)
+                divisor_queue.extend(touched)
+        while divisor_queue:
+            p = divisor_queue.popleft()
+            c = divisor_pivot(p)
+            if c is not None:
+                touched = eliminate(p, c)
+                unit_queue.extend(touched)
+                divisor_queue.extend(touched)
+                full_sweep = False
+                break
+        else:
+            # Dropping a pivot row can free a divisor pivot in a row that was
+            # not touched, so sweep every row once before giving up.
+            if full_sweep:
+                break
+            divisor_queue.extend(i for i, row in enumerate(rows) if row)
+            full_sweep = True
+
+    live = [row for row in rows if row]
+    if live:
+        live_cols = sorted(j for j, members in cols.items() if members)
+        residue = [[row.get(j, 0) for j in live_cols] for row in live]
+        diag.extend(d for d in _dense_snf(residue) if d)
+    factors = _invariant_factors(diag)
+    return factors + [0] * (min(n_rows, n_cols) - len(factors))
+
+
+def _invariant_factors(diag: list[int]) -> list[int]:
+    """Invariant factors of diag(d_1, ..., d_k) for positive d_i, in
+    ascending order.  Over a coprime base b_1, b_2, ... of the entries each
+    d_i is a product of powers of the b's, and, as for primes, the largest
+    factor takes the largest power of every b, the next the next largest."""
+    counts = Counter(diag)
+    factors = [1] * len(diag)
+    for b in _coprime_base([v for v in counts if v > 1]):
+        powers = []
+        for v, k in counts.items():
+            e = 0
+            while v % b == 0:
+                v //= b
+                e += 1
+            powers.extend([e] * k if e else ())
+        powers.sort(reverse=True)
+        for i, e in enumerate(powers):
+            factors[-1 - i] *= b**e
+    return factors
+
+
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product
+    (factor refinement: split any two that share a factor g into g and
+    their cofactors until none do)."""
+    base: list[int] = []
+    stack = list(values)
+    while stack:
+        x = stack.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                stack += [g, b // g, x // g]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _dense_snf(m: list[list[int]]) -> list[int]:
+    """Smith normal form diagonal of a dense matrix, which it overwrites:
+    pivot on an entry of least absolute value in the whole remaining block."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     diag: list[int] = []
@@ -88,7 +229,7 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     return diag
 
 
-def invariants_from_diagonal(diag: list[int], n_generators: int, n_relators: int) -> AbelianInvariants:
+def invariants_from_diagonal(diag: list[int], n_generators: int) -> AbelianInvariants:
     torsion = tuple(d for d in diag if d >= 2)
     rank_of_matrix = sum(1 for d in diag if d != 0)
     return AbelianInvariants(torsion, n_generators - rank_of_matrix)

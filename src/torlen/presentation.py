@@ -317,7 +317,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     if not matrix:
         return AbelianInvariants((), len(p.generators))
     diag = smith_normal_form(matrix)
-    return invariants_from_diagonal(diag, len(p.generators), len(matrix))
+    return invariants_from_diagonal(diag, len(p.generators))
 
 
 # -- serialization --------------------------------------------------------

@@ -3,8 +3,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants, invariants_from_diagonal, smith_normal_form
+from torlen.constructions import build_pn
+from torlen.presentation import abelianization
 
 
 def minors_gcd(matrix, k):
@@ -89,8 +92,42 @@ def test_snf_against_minor_gcd_oracle():
         assert smith_normal_form(m) == snf_oracle(m), m
 
 
+# Entries with no unit among them, so that elimination needs divisor pivots
+# or the dense residue solver.
+NO_UNIT = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.sampled_from((st.integers(-5, 5), st.sampled_from(NO_UNIT))))
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    zero_row = draw(st.none() | st.integers(0, rows - 1))
+    if zero_row is not None:
+        m[zero_row] = [0] * cols
+    zero_col = draw(st.none() | st.integers(0, cols - 1))
+    if zero_col is not None:
+        for row in m:
+            row[zero_col] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_snf_matches_minor_gcd_oracle_on_random_matrices(m):
+    assert smith_normal_form(m) == snf_oracle(m)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pn_abelianization_closed_form(n):
+    """P_n abelianizes to 2^(n-1-k) copies of Z/3^k for k = 1..n-1, then
+    one Z/3^n."""
+    torsion = [3**k for k in range(1, n) for _ in range(2 ** (n - 1 - k))] + [3**n]
+    assert abelianization(build_pn(n)) == AbelianInvariants(tuple(torsion), 0)
+
+
 def test_invariants_from_diagonal():
-    inv = invariants_from_diagonal([1, 2, 6, 0], 5, 4)
+    inv = invariants_from_diagonal([1, 2, 6, 0], 5)
     assert inv == AbelianInvariants((2, 6), 2)
 
 

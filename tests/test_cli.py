@@ -84,6 +84,15 @@ def test_ab(tmp_path, capsys):
     assert json.loads(out) == {"torsion": [3], "free_rank": 0}
 
 
+def test_ab_on_p12(tmp_path, capsys):
+    path = tmp_path / "p12.txt"
+    assert run(capsys, "gen", "pn", "--n", "12", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "ab", str(path))
+    assert code == 0
+    torsion = [3**k for k in range(1, 12) for _ in range(2 ** (11 - k))] + [3**12]
+    assert json.loads(out) == {"torsion": torsion, "free_rank": 0}
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text("rel: y\n")
