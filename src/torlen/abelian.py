@@ -143,7 +143,8 @@ def _invariant_factors(diag: list[int]) -> list[int]:
             while v % b == 0:
                 v //= b
                 e += 1
-            powers.extend([e] * k if e else ())
+            if e:
+                powers += [e] * k
         powers.sort(reverse=True)
         for i, e in enumerate(powers):
             factors[-1 - i] *= b**e
