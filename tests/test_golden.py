@@ -1,6 +1,7 @@
 """Golden outputs: every CLI subcommand on fixed inputs, plus digests of
 the level-2 torsion certificates, of Nielsen reduction, of Stallings
-folding, of coset enumeration and of Smith normal form.
+folding, of coset enumeration, of Smith normal form and of the
+consequence balls behind the certificate search.
 
 The golden file holds stdout (split into lines) and the exit code of
 each command; stderr carries wall time and is not compared.  To write
@@ -19,12 +20,13 @@ from pathlib import Path
 
 from torlen.abelian import smith_normal_form
 from torlen.cli import main
+from torlen.consequences import closure_ball
 from torlen.constructions import build_chain, build_ln, build_pjkl, build_pn
 from torlen.coset import todd_coxeter
 from torlen.presentation import Presentation, adjoin_relators, serialize_presentation
 from torlen.stallings import build_subgroup_graph, free_basis, nielsen_reduce
 from torlen.torsion import torsion_certificate_search
-from torlen.words import Word, free_reduce
+from torlen.words import Word, free_reduce, word_to_ints
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -223,6 +225,31 @@ def snf_digest() -> str:
     return hashlib.sha256(repr(diagonals).encode()).hexdigest()
 
 
+def closure_digest() -> str:
+    """Consequence balls of the P_{j,k,l} relators (j, k, l = 2..3) at
+    max_len 5 and 6, of the level-2 relator set of P_{2,2,2} at word
+    bound 5 (its adjoined cores included), and of that set at max_len 6
+    with a state budget that runs out mid-ball."""
+    runs = []
+    for j in range(2, 4):
+        for k in range(2, 4):
+            for l in range(2, 4):
+                p = build_pjkl(j, k, l)
+                index = {g: i for i, g in enumerate(p.generators)}
+                relators = [word_to_ints(r, index) for r in p.relators]
+                runs += [(relators, 3, max_len, 8, 200_000) for max_len in (5, 6)]
+    p = build_pjkl(2, 2, 2)
+    index = {g: i for i, g in enumerate(p.generators)}
+    report = torsion_certificate_search(p, level=2, word_bound=5)
+    level2 = [word_to_ints(r, index) for r in p.relators + report.certificates[0].adjoined]
+    runs += [(level2, 3, 5, 8, 200_000), (level2, 3, 6, 8, 500)]
+    balls = []
+    for relators, n_generators, max_len, max_depth, max_states in runs:
+        ball = closure_ball(relators, n_generators, max_len, max_depth, max_states)
+        balls.append((list(ball.parents.items()), ball.exhausted))
+    return hashlib.sha256(repr(balls).encode()).hexdigest()
+
+
 def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
     expected = json.loads(GOLDEN.read_text())
@@ -250,6 +277,10 @@ def test_snf_digest_matches_golden():
     assert snf_digest() == json.loads(GOLDEN.read_text())["snf_sha256"]
 
 
+def test_closure_digest_matches_golden():
+    assert closure_digest() == json.loads(GOLDEN.read_text())["closure_sha256"]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -275,5 +306,6 @@ if __name__ == "__main__":
         "fold_sha256": fold_digest(),
         "coset_sha256": coset_digest(),
         "snf_sha256": snf_digest(),
+        "closure_sha256": closure_digest(),
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
