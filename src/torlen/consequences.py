@@ -18,10 +18,14 @@ from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 #   ("ins", position, relator_index, sign, rotation) -- insert a cyclic
 #       rotation of relator^sign at the given position.  The word and the
 #       rotation (reduced once, up front) are both reduced, so letters
-#       cancel only at the two seams.
+#       cancel only at the two seams, and only if the rotation starts
+#       with the inverse of the letter before the position or ends with
+#       the inverse of the letter after it.  Otherwise the child is the
+#       plain concatenation, of length len(word) + len(rotation).
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
-#       ends.
+#       ends, and only if the word starts with -letter or ends with
+#       letter.  Otherwise the child is two letters longer.
 
 
 @dataclass
@@ -96,6 +100,13 @@ def closure_ball(
     relators, keeping words of length <= max_len, up to max_depth moves
     and max_states distinct states.
 
+    A child is built only if it can fit: a move that cancels at no seam
+    (or end) lengthens the word by exactly the inserted length, so it
+    is skipped when that overshoots max_len; a move that cancels is
+    built and then checked.  Children are tried in the same order, and
+    the state budget fires at the same child, as if every child were
+    built and the long ones dropped.
+
     ``exhausted`` is False when the state budget was hit, i.e. absence
     from the ball is then evidence only at the explored budget.
     """
@@ -114,19 +125,44 @@ def closure_ball(
     letters = [g for g in range(1, n_generators + 1)] + [
         -g for g in range(1, n_generators + 1)
     ]
+    # fits[(room, before, after)]: the insertion moves, in ins_moves
+    # order, whose child can fit when room = max_len - len(word) and the
+    # word reads `before` and `after` on either side of the insertion
+    # point (0 at an end of the word), each flagged with whether it
+    # cancels at a seam.  There are at most (max_len+1)(2g+1)^2 keys.
+    fits: dict[tuple[int, int, int], list[tuple[int, int, int, IntWord, bool]]] = {}
     queue: deque[tuple[IntWord, int]] = deque([((), 0)])
     while queue:
         word, depth = queue.popleft()
         if depth >= max_depth:
             continue
+        n = len(word)
+        room = max_len - n
         children = []
-        for pos in range(len(word) + 1):
+        for pos in range(n + 1):
+            before = word[pos - 1] if pos else 0
+            after = word[pos] if pos < n else 0
+            moves = fits.get((room, before, after))
+            if moves is None:
+                moves = fits[room, before, after] = []
+                for ridx, sign, rot, rotated in ins_moves:
+                    cancels = rotated[0] == -before or rotated[-1] == -after
+                    if cancels or len(rotated) <= room:
+                        moves.append((ridx, sign, rot, rotated, cancels))
             head, tail = word[:pos], word[pos:]
-            for ridx, sign, rot, rotated in ins_moves:
-                new = multiply_ints(multiply_ints(head, rotated), tail)
-                if len(new) <= max_len:
-                    children.append((new, ("ins", pos, ridx, sign, rot)))
-        for letter in letters:
+            for ridx, sign, rot, rotated, cancels in moves:
+                if cancels:
+                    new = multiply_ints(multiply_ints(head, rotated), tail)
+                    if len(new) > max_len:
+                        continue
+                else:
+                    new = head + rotated + tail
+                children.append((new, ("ins", pos, ridx, sign, rot)))
+        if room >= 2 or not word:
+            conj_letters = letters
+        else:
+            conj_letters = [g for g in letters if g == -word[0] or g == word[-1]]
+        for letter in conj_letters:
             new = multiply_ints(multiply_ints((letter,), word), (-letter,))
             if len(new) <= max_len:
                 children.append((new, ("conj", letter)))

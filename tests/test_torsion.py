@@ -89,12 +89,21 @@ small_relators = st.lists(
 
 
 @settings(deadline=None)
-@given(small_relators, st.integers(min_value=1, max_value=5), st.sampled_from((50, 2000)))
-@example([(1, 2, -1)], 4, 2000)  # a b a^-1: its rotations are not reduced
-@example([(1, 1, 2, -1, -1), (2, 2)], 4, 2000)
-def test_closure_ball_matches_whole_word_reduction(relators, max_len, max_states):
-    ball = closure_ball(relators, 2, max_len=max_len, max_depth=3, max_states=max_states)
-    parents, exhausted = reference_ball(relators, 2, max_len, 3, max_states)
+@given(
+    small_relators,
+    st.integers(min_value=2, max_value=3),  # with 3, one letter no relator uses
+    st.integers(min_value=0, max_value=6),  # relators may be longer than the bound
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from((1, 7, 50, 2000)),  # small budgets fire between two children
+)
+@example([(1, 2, -1)], 2, 4, 3, 2000)  # a b a^-1: its rotations are not reduced
+@example([(1, 1, 2, -1, -1), (2, 2)], 2, 4, 3, 2000)
+@example([(2, 1, -2)], 2, 4, 3, 50)  # a conjugation that cancels at the right end only
+def test_closure_ball_matches_whole_word_reduction(
+    relators, n_generators, max_len, max_depth, max_states
+):
+    ball = closure_ball(relators, n_generators, max_len, max_depth, max_states)
+    parents, exhausted = reference_ball(relators, n_generators, max_len, max_depth, max_states)
     assert list(ball.parents.items()) == list(parents.items())
     assert ball.exhausted == exhausted
 
