@@ -332,6 +332,7 @@ def parse_presentation(text: str) -> Presentation:
         rel: tok tok ...      (# starts a comment)
     """
     generators: list[str] | None = None
+    declared: set[str] = set()
     relators: list[Word] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,8 +347,9 @@ def parse_presentation(text: str) -> Presentation:
                     raise PresentationSyntaxError(
                         f"bad generator token {tok!r}", lineno, raw.index(tok)
                     )
-                if tok in generators:
+                if tok in declared:
                     raise PresentationSyntaxError(f"duplicate generator {tok!r}", lineno)
+                declared.add(tok)
                 generators.append(tok)
         elif line.startswith("rel:"):
             if generators is None:
@@ -360,7 +362,7 @@ def parse_presentation(text: str) -> Presentation:
                     name, sign = tok, 1
                 if not _NAME_RE.fullmatch(name):
                     raise PresentationSyntaxError(f"bad token {tok!r}", lineno, raw.index(tok))
-                if name not in generators:
+                if name not in declared:
                     raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
                 letters.append((name, sign))
             relators.append(Word(tuple(letters)))

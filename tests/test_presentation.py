@@ -213,6 +213,11 @@ def test_round_trip():
         assert parse_presentation(serialize_presentation(p)) == p
 
 
+def test_round_trip_many_generators():
+    p = build_pn(12)
+    assert parse_presentation(serialize_presentation(p)) == p
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -266,10 +271,12 @@ def test_emitted_presentations_round_trip_property(emitter, data):
 def test_parse_errors_carry_position():
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("rel: y\n")
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("gens: x x\n")
-    with pytest.raises(PresentationSyntaxError):
-        parse_presentation("gens: x\nrel: y\n")
+    with pytest.raises(PresentationSyntaxError, match="duplicate generator 'a'") as exc:
+        parse_presentation("# header\ngens: a a\n")
+    assert exc.value.line == 2
+    with pytest.raises(PresentationSyntaxError, match="undeclared symbol 'b'") as exc:
+        parse_presentation("gens: a\nrel: a\nrel: b\n")
+    assert exc.value.line == 3
     try:
         parse_presentation("gens: x\nwat: x\n")
     except PresentationSyntaxError as exc:
