@@ -128,9 +128,10 @@ def closure_ball(
     # fits[(room, before, after)]: the insertion moves, in ins_moves
     # order, whose child can fit when room = max_len - len(word) and the
     # word reads `before` and `after` on either side of the insertion
-    # point (0 at an end of the word), each flagged with whether it
-    # cancels at a seam.  There are at most (max_len+1)(2g+1)^2 keys.
-    fits: dict[tuple[int, int, int], list[tuple[int, int, int, IntWord, bool]]] = {}
+    # point (0 at an end of the word): those no longer than room, and
+    # those that cancel at a seam.  There are at most
+    # (max_len+1)(2g+1)^2 keys, and the lists share ins_moves' tuples.
+    fits: dict[tuple[int, int, int], list[tuple[int, int, int, IntWord]]] = {}
     queue: deque[tuple[IntWord, int]] = deque([((), 0)])
     while queue:
         word, depth = queue.popleft()
@@ -145,13 +146,13 @@ def closure_ball(
             moves = fits.get((room, before, after))
             if moves is None:
                 moves = fits[room, before, after] = []
-                for ridx, sign, rot, rotated in ins_moves:
-                    cancels = rotated[0] == -before or rotated[-1] == -after
-                    if cancels or len(rotated) <= room:
-                        moves.append((ridx, sign, rot, rotated, cancels))
+                for move in ins_moves:
+                    rotated = move[3]
+                    if len(rotated) <= room or rotated[0] == -before or rotated[-1] == -after:
+                        moves.append(move)
             head, tail = word[:pos], word[pos:]
-            for ridx, sign, rot, rotated, cancels in moves:
-                if cancels:
+            for ridx, sign, rot, rotated in moves:
+                if rotated[0] == -before or rotated[-1] == -after:
                     new = multiply_ints(multiply_ints(head, rotated), tail)
                     if len(new) > max_len:
                         continue
