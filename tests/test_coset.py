@@ -4,13 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torlen.cli import main
 from torlen.constructions import build_pjkl, build_pn
 from torlen.coset import todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
-from torlen.words import Word
+from torlen.words import Word, free_reduce
 
 
 def P(gens, *relators):
@@ -189,3 +189,136 @@ def test_index_matches_abelianization_order(p):
     inv = abelianization(p)
     assert inv.free_rank == 0
     assert t.status == "complete" and t.index == math.prod(inv.torsion_coefficients)
+
+
+def reference_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000):
+    """A frozen copy of the HLT enumerator as first written on live-only
+    table entries: union-find lookups on both ends of every coincidence,
+    a nested identify, and the same definition and coincidence order.
+    Returns (status, index, limit, rows)."""
+    n_letters = 2 * len(p.generators)
+    index = {g: i for i, g in enumerate(p.generators)}
+
+    def letters(w):
+        return tuple(index[g] * 2 + (0 if s == 1 else 1) for g, s in w.letters)
+
+    relators = [r for r in (letters(r) for r in p.relators) if r]
+    subgroup = [letters(w) for w in (free_reduce(w) for w in subgroup_generators) if w]
+    if not p.generators:
+        return "complete", 1, None, ((),)
+    parent, table, live = [0], [[None] * n_letters], [1]
+
+    class Exhausted(Exception):
+        pass
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def define(a, x):
+        if live[0] >= max_cosets:
+            raise Exhausted
+        b = len(parent)
+        parent.append(b)
+        table.append([None] * n_letters)
+        live[0] += 1
+        table[a][x] = b
+        table[b][x ^ 1] = a
+
+    def coincidence(a, b):
+        queue = []
+
+        def identify(c, d):
+            c, d = find(c), find(d)
+            if c != d:
+                c, d = min(c, d), max(c, d)
+                parent[d] = c
+                queue.append(d)
+
+        identify(a, b)
+        for e in queue:
+            for x, f in enumerate(table[e]):
+                if f is None:
+                    continue
+                table[f][x ^ 1] = None
+                mu, nu = find(e), find(f)
+                if table[mu][x] is not None:
+                    identify(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    identify(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+            table[e] = None
+        live[0] -= len(queue)
+
+    def scan_and_fill(start, word):
+        f, fi = start, 0
+        b, bi = start, len(word)
+        while True:
+            while fi < bi and (nxt := table[f][word[fi]]) is not None:
+                f, fi = nxt, fi + 1
+            while bi > fi and (prev := table[b][word[bi - 1] ^ 1]) is not None:
+                b, bi = prev, bi - 1
+            if bi == fi:
+                if f != b:
+                    coincidence(f, b)
+                return
+            if bi == fi + 1:
+                table[f][word[fi]] = b
+                table[b][word[fi] ^ 1] = f
+                return
+            define(f, word[fi])
+
+    try:
+        for w in subgroup:
+            scan_and_fill(0, w)
+        alpha = 0
+        while alpha < len(table):
+            if parent[alpha] == alpha:
+                for rel in relators:
+                    scan_and_fill(alpha, rel)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    for x, entry in enumerate(table[alpha]):
+                        if entry is None:
+                            define(alpha, x)
+            alpha += 1
+    except Exhausted:
+        return "bound_exceeded", None, max_cosets, ()
+    alive = [a for a in range(len(table)) if parent[a] == a]
+    number = {a: i for i, a in enumerate(alive)}
+    return "complete", len(alive), None, tuple(tuple(number[e] for e in table[a]) for a in alive)
+
+
+# b^6 = b a b b a b b = 1 with a = 1 collapses to the trivial group: 12
+# cosets are allocated, 9 live at the peak, so a budget of 8 runs out
+# after coincidences have freed cosets and a budget of 9 completes.
+TRIVIAL_BY_COINCIDENCE = P("a b c", "a", "b b b b b b", "c", "b a b b a b b")
+# F(2,5), order 11: 165 cosets allocated, 92 live at the peak.
+F25 = P("a0 a1 a2 a3 a4", *(f"a{i} a{(i + 1) % 5} a{(i + 2) % 5}^-1" for i in range(5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations_with_subgroups(), st.booleans(), st.sampled_from((4, 9, 30, 120, 2000)))
+@example((TRIVIAL_BY_COINCIDENCE, []), False, 8)
+@example((TRIVIAL_BY_COINCIDENCE, []), False, 9)
+@example((F25, []), False, 91)
+@example((F25, []), False, 92)
+def test_matches_reference_enumerator(case, with_subgroup, max_cosets):
+    p, subgroup = case
+    subgroup = subgroup if with_subgroup else []
+    t = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    assert (t.status, t.index, t.limit, t.rows) == reference_todd_coxeter(p, subgroup, max_cosets)
+
+
+def test_reference_enumerator_runs_out_after_coincidences():
+    assert reference_todd_coxeter(TRIVIAL_BY_COINCIDENCE, (), 8)[0] == "bound_exceeded"
+    assert reference_todd_coxeter(TRIVIAL_BY_COINCIDENCE, (), 9)[:2] == ("complete", 1)
+    assert reference_todd_coxeter(F25, (), 91)[0] == "bound_exceeded"
+    assert reference_todd_coxeter(F25, (), 92)[:2] == ("complete", 11)
