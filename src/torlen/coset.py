@@ -37,13 +37,9 @@ class CosetTable:
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def to_json(self) -> dict:
-        out = {"status": self.status}
         if self.status == "complete":
-            out["index"] = self.index
-            out["table_digest"] = self.digest()
-        else:
-            out["limit"] = self.limit
-        return out
+            return {"status": self.status, "index": self.index, "table_digest": self.digest()}
+        return {"status": self.status, "limit": self.limit}
 
 
 class _Enumerator(UnionFind):
@@ -59,7 +55,7 @@ class _Enumerator(UnionFind):
         self.table: list[list[int | None] | None] = [[None] * n_letters]
         self.live_count = 1
 
-    def define(self, a: int, x: int) -> int:
+    def define(self, a: int, x: int):
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
         b = self.add()
@@ -67,38 +63,42 @@ class _Enumerator(UnionFind):
         self.live_count += 1
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
-        return b
 
     def coincidence(self, a: int, b: int):
         """Identify live cosets a and b and every coincidence this forces:
         procedure COINCIDENCE of Holt, Eick & O'Brien, Handbook of
         Computational Group Theory (2005), 5.1.  A FIFO holds the dead
         cosets; each dead row's entries move to the survivors (the least
-        coset of each class) and the row is dropped."""
+        coset of each class) and the row is dropped.  A root is read as
+        parent[c] (c itself when live); find runs only if that is dead."""
         table, parent, find = self.table, self.parent, self.find
-        queue: list[int] = []
-
-        def identify(c: int, d: int):
-            c, d = find(c), find(d)
-            if c != d:
-                c, d = min(c, d), max(c, d)
-                parent[d] = c
-                queue.append(d)
-
-        identify(a, b)
+        queue = [max(a, b)]
+        parent[queue[0]] = min(a, b)
         for e in queue:
+            mu = parent[e]
             for x, f in enumerate(table[e]):
                 if f is None:
                     continue
                 table[f][x ^ 1] = None
-                mu, nu = find(e), find(f)
-                if table[mu][x] is not None:
-                    identify(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    identify(mu, table[nu][x ^ 1])
+                if parent[mu] != mu:
+                    mu = find(mu)
+                nu = parent[f]
+                if parent[nu] != nu:
+                    nu = find(nu)
+                if (c := table[mu][x]) is not None:
+                    d = nu
+                elif (c := table[nu][x ^ 1]) is not None:
+                    d = mu
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    table[mu][x], table[nu][x ^ 1] = nu, mu
+                    continue
+                c = parent[c]
+                if parent[c] != c:
+                    c = find(c)
+                if c != d:
+                    c, d = (c, d) if c < d else (d, c)
+                    parent[d] = c
+                    queue.append(d)
             table[e] = None
         self.live_count -= len(queue)
 
@@ -142,32 +142,30 @@ def todd_coxeter(
     index = {g: i for i, g in enumerate(p.generators)}
     subgroup = [free_reduce(w) for w in subgroup_generators]
     for w in subgroup:
-        extra = w.symbols() - set(p.generators)
-        if extra:
+        if extra := w.symbols() - index.keys():
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
-    relators = [_word_to_letters(r, index) for r in p.relators]
-    relators = [r for r in relators if r]
+    relators = [_word_to_letters(r, index) for r in p.relators if r]
     subgroup_words = [_word_to_letters(w, index) for w in subgroup if w]
 
     if not p.generators:
         return CosetTable("complete", 1, None, p.generators, ((),))
 
     enum = _Enumerator(2 * len(p.generators), max_cosets)
-    table, parent = enum.table, enum.parent
+    table, parent, scan, define = enum.table, enum.parent, enum.scan_and_fill, enum.define
     try:
         for w in subgroup_words:
-            enum.scan_and_fill(0, w)
+            scan(0, w)
         alpha = 0
         while alpha < len(table):
             if parent[alpha] == alpha:
                 for rel in relators:
-                    enum.scan_and_fill(alpha, rel)
+                    scan(alpha, rel)
                     if parent[alpha] != alpha:
                         break
                 else:
                     for x, entry in enumerate(table[alpha]):
                         if entry is None:
-                            enum.define(alpha, x)
+                            define(alpha, x)
             alpha += 1
     except BoundExceeded as exc:
         return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
