@@ -1,13 +1,14 @@
 """Command-line surface for batch computation and report emission.
 
 JSON results go to stdout; human diagnostics (including wall time) go
-to stderr.  Exit codes: 0 success, 1 parse/precondition errors, 2
-budget exceeded.
+to stderr.  Exit codes: 0 success, 1 usage, parse and precondition
+errors, 2 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -251,8 +252,20 @@ def cmd_canon(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on EXIT_USAGE: exit 2 means a
+    budget ran out."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on first use and shared by later calls:
+    parse_args keeps no state between calls."""
+    parser = _Parser(
         prog="torlen", description="torsion-length constructions and verification tools"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

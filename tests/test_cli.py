@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,69 @@ def test_tampered_supporting_certificate_fails_its_dependents(tmp_path, capsys, 
     verified = [c["verified"] for c in json.loads(out)["certificates"]]
     assert any(dependent) and len(verified) == len(dependent)
     assert verified == [not d for d in dependent]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("gens: x y\nrel: x x\nrel: y y\n")
+    assert run(capsys, "tc", str(path), "--max", "200")[0] == 2
+    code, out, _ = run(capsys, "tc", str(path))
+    assert code == 2 and json.loads(out)["limit"] == 10_000
+    path.write_text(PJKL_222)
+    assert run(capsys, "torsion-search", str(path), "--level", "2", "--word-bound", "3")[0] == 0
+    code, out, _ = run(capsys, "torsion-search", str(path), "--word-bound", "3")
+    assert code == 0 and json.loads(out)["level"] == 1
+
+
+def test_usage_errors_exit_1_and_leave_the_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tc"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: torlen tc ")
+    assert err.endswith("torlen tc: error: the following arguments are required: file\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["tc", "x.txt", "--max", "many"])
+    assert exc.value.code == 1
+    assert "argument --max: invalid int value: 'many'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "torsion-length constructions" in capsys.readouterr().out
+    path = tmp_path / "p.txt"
+    path.write_text("gens: x\nrel: x x x\n")
+    code, out, _ = run(capsys, "tc", str(path))
+    assert code == 0 and json.loads(out)["index"] == 3
+
+
+# Counts the argparse parsers built while torlen.cli is imported.
+IMPORT_PROBE = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import torlen.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

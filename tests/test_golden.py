@@ -259,6 +259,15 @@ def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
         assert have == want
 
 
+def test_cli_outputs_match_golden_twice_in_one_process(tmp_path, capsys, monkeypatch):
+    # The CLI builds its parser once per process; a second pass must not
+    # see anything the first one parsed.
+    monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
+    expected = json.loads(GOLDEN.read_text())["commands"]
+    for _ in range(2):
+        assert _run_commands(tmp_path, lambda: capsys.readouterr().out) == expected
+
+
 def test_certificate_and_nielsen_digests_match_golden():
     expected = json.loads(GOLDEN.read_text())
     assert certificates_digest() == expected["level2_certificates_sha256"]
