@@ -139,6 +139,8 @@ def todd_coxeter(
     Complete(n) certifies index n; with no subgroup generators, n is
     the group order when finite.
     """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
     index = {g: i for i, g in enumerate(p.generators)}
     subgroup = [free_reduce(w) for w in subgroup_generators]
     for w in subgroup:

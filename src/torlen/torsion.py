@@ -325,6 +325,13 @@ def torsion_certificate_search(
     """
     if level < 1:
         raise ValueError("level must be >= 1")
+    for name, bound in (
+        ("word_bound", word_bound),
+        ("exponent_bound", exponent_bound),
+        ("consequence_budget", consequence_budget),
+    ):
+        if bound < 0:
+            raise ValueError(f"{name} must be >= 0")
     index = {g: i for i, g in enumerate(p.generators)}
     names = list(p.generators)
     relators = [word_to_ints(r, index) for r in p.relators]

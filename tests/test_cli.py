@@ -234,6 +234,24 @@ def test_usage_errors_exit_1_and_leave_the_parser_usable(tmp_path, capsys):
     assert code == 0 and json.loads(out)["index"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tc", "{path}", "--max", "-3"], "max_cosets must be >= 1"),
+        (["tc", "{path}", "--max", "0"], "max_cosets must be >= 1"),
+        (["torsion-search", "{path}", "--word-bound", "-1"], "word_bound must be >= 0"),
+        (["torsion-search", "{path}", "--exponent-bound", "-2"], "exponent_bound must be >= 0"),
+        (["torsion-search", "{path}", "--consequence-budget", "-1"], "consequence_budget must be >= 0"),
+    ],
+)
+def test_nonsense_budgets_are_usage_errors(tmp_path, capsys, argv, message):
+    path = tmp_path / "p.txt"
+    path.write_text(PJKL_222)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    assert f"error: {message}" in err
+
+
 # Counts the argparse parsers built while torlen.cli is imported.
 IMPORT_PROBE = """
 import argparse

@@ -107,6 +107,12 @@ def test_rejects_undeclared_subgroup_words():
         todd_coxeter(P("x", "x x"), [Word.gen("y")])
 
 
+@pytest.mark.parametrize("max_cosets", [0, -3])
+def test_rejects_budgets_below_one(max_cosets):
+    with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+        todd_coxeter(P("x", "x x"), max_cosets=max_cosets)
+
+
 def test_long_relator_completes(tmp_path, capsys):
     # One scan makes 2000 definitions, more than Python's recursion limit.
     path = tmp_path / "a2000.txt"

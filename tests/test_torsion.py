@@ -234,6 +234,14 @@ def test_certificates_free_group_empty():
     assert report2.certificates == ()
 
 
+@pytest.mark.parametrize("budget", ["word_bound", "exponent_bound", "consequence_budget"])
+def test_certificate_search_rejects_negative_budgets(budget):
+    with pytest.raises(ValueError, match=f"{budget} must be >= 0"):
+        torsion_certificate_search(build_pjkl(2, 2, 2), **{budget: -1})
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        torsion_certificate_search(build_pjkl(2, 2, 2), level=0)
+
+
 def test_certificate_verification_rejects_tampering():
     report = torsion_certificate_search(P("x", "x x"), level=1)
     cert = next(c for c in report.certificates if c.word == Word.gen("x"))
