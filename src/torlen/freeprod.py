@@ -243,6 +243,8 @@ def conjugate_separation_search(
     <ab>) and nonzero i, j (|i|,|j| <= max_exponent) with
     x (ab)^i x^-1 = (ab)^j.  Returns the minimal witness in
     length-lexicographic order, or a bound report."""
+    if max_syllables < 0 or max_exponent < 0:
+        raise ValueError("max_syllables and max_exponent must be >= 0")
     nf_a = normal_form(spec, a)
     nf_b = normal_form(spec, b)
     if not nf_a or not nf_b:
@@ -274,6 +276,8 @@ def ping_pong_free_check(spec: CyclicFactorSpec, u: Word, v: Word, max_length: i
     """Bounded freeness certificate: True iff every nonempty freely
     reduced word in {u, v}^+- of length <= max_length is nontrivial.
     Necessary evidence of freeness, not a proof."""
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
     nf_u = normal_form(spec, u)
     nf_v = normal_form(spec, v)
     if not nf_u or not nf_v:

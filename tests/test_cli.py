@@ -242,6 +242,11 @@ def test_usage_errors_exit_1_and_leave_the_parser_usable(tmp_path, capsys):
         (["torsion-search", "{path}", "--word-bound", "-1"], "word_bound must be >= 0"),
         (["torsion-search", "{path}", "--exponent-bound", "-2"], "exponent_bound must be >= 0"),
         (["torsion-search", "{path}", "--consequence-budget", "-1"], "consequence_budget must be >= 0"),
+        (["pingpong", "--spec", "factors: g:3 x:2", "g", "x", "--len", "-1"], "max_length must be >= 0"),
+        (
+            ["conjsep", "--spec", "factors: x:2 y:2", "--a", "x", "--b", "y", "--bounds", "-1 4"],
+            "max_syllables and max_exponent must be >= 0",
+        ),
     ],
 )
 def test_nonsense_budgets_are_usage_errors(tmp_path, capsys, argv, message):

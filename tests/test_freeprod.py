@@ -175,6 +175,9 @@ def test_conjugate_separation_preconditions():
         conjugate_separation_search(C22, Word.gen("x"), Word.gen("x"), 4, 2)
     with pytest.raises(FactorError):
         conjugate_separation_search(C22, Word.empty(), Word.gen("y"), 4, 2)
+    for bounds in ((-1, 2), (4, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            conjugate_separation_search(C22, Word.gen("x"), Word.gen("y"), *bounds)
 
 
 def test_ping_pong_known_free_pair():
@@ -188,6 +191,12 @@ def test_ping_pong_rejects_torsion_pairs():
     assert not ping_pong_free_check(C22, Word.gen("x"), Word.gen("y"), 2)
     u = Word.from_text("x y")
     assert not ping_pong_free_check(C23, u, u, 2)
+
+
+def test_ping_pong_rejects_negative_length():
+    # A negative bound used to make the search run until memory ran out.
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        ping_pong_free_check(C23, Word.gen("x"), Word.gen("y"), -1)
 
 
 def test_conjugates_of_a_freely_generate():
