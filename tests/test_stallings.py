@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torlen.stallings import (
     build_subgroup_graph,
@@ -154,3 +155,57 @@ def test_rejects_non_ambient_symbols():
         build_subgroup_graph(("a",), [Word.from_text("b")])
     with pytest.raises(ValueError):
         build_subgroup_graph(("a",), [Word.from_text("a b b^-1")])
+
+
+# -- membership against the closure oracle, on words that need not be
+# reduced (the walk may leave the graph through a cancelling pair and
+# come back) and that may mention a letter outside the ambient group
+
+MEMBER_BOUND = 4
+
+
+@st.composite
+def subgroups_with_queries(draw):
+    ambient = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    letter = st.tuples(st.sampled_from(ambient), st.sampled_from((1, -1)))
+    gens = draw(st.lists(st.lists(letter, min_size=1, max_size=3), min_size=1, max_size=3))
+    gens = [tuple(g) for g in gens]
+    # a query is a product of pieces: a generator or its inverse, one
+    # letter (ambient or not), or a cancelling pair x x^-1
+    stray = st.tuples(st.sampled_from(ambient + ("z",)), st.sampled_from((1, -1)))
+    piece = st.one_of(
+        st.tuples(st.sampled_from(gens), st.booleans()).map(
+            lambda t: t[0] if t[1] else Word(t[0]).inverse().letters
+        ),
+        stray.map(lambda l: (l,)),
+        stray.map(lambda l: (l, (l[0], -l[1]))),
+    )
+    queries = draw(st.lists(st.lists(piece, max_size=5), min_size=1, max_size=12))
+    return ambient, gens, [sum(q, ()) for q in queries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subgroups_with_queries())
+@example((("a", "b"), [(("a", 1),)], [(("b", 1), ("b", -1), ("a", 1)), (("a", 1), ("b", 1), ("b", -1))]))
+@example((("a", "b"), [(("a", 1),), (("b", 1), ("a", 1))], [(("c", 1), ("c", -1))]))
+def test_membership_matches_closure_on_unreduced_words(case):
+    ambient, gens, queries = case
+    gens = [Word(g) for g in gens]
+    graph = build_subgroup_graph(ambient, gens)
+    members = closure_members(gens, MEMBER_BOUND)
+    for q in queries:
+        w = Word(q)
+        reduced = free_reduce(w)
+        answer = membership(graph, w)
+        assert answer == membership(graph, reduced), w.to_text()
+        if len(reduced) <= MEMBER_BOUND:
+            assert answer == (reduced.letters in members), w.to_text()
+
+
+def test_membership_walks_back_over_cancelling_pairs():
+    graph = build_subgroup_graph(F2, [Word.from_text("a")])
+    assert membership(graph, Word.from_text("b b^-1 a"))
+    assert membership(graph, Word.from_text("a b b^-1"))
+    assert not membership(graph, Word.from_text("b a b^-1"))
+    assert membership(graph, Word.from_text("c c^-1"))
+    assert not membership(graph, Word.from_text("a c"))
