@@ -65,8 +65,7 @@ def _emit_presentation(p, out_path: str | None):
 
 
 def _emit_json(payload: dict):
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _split_words(raw: str) -> list[Word]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .words import Word, check_symbol, concat
+from .words import Word, check_symbol
 
 INFINITE = None  # order marker for infinite cyclic factors
 
@@ -87,7 +87,13 @@ class NormalForm:
         return bool(self.syllables)
 
     def to_word(self, spec: CyclicFactorSpec) -> Word:
-        return concat(Word.gen(spec.generator(i), e) for i, e in self.syllables)
+        return _spell(spec, self.syllables)
+
+
+def _spell(spec: CyclicFactorSpec, syllables) -> Word:
+    """The (factor, exponent) syllables written out letter by letter."""
+    letters = ((spec.generator(i), 1 if e > 0 else -1) for i, e in syllables for _ in range(abs(e)))
+    return Word(tuple(letters))
 
 
 def _normalize_exponent(exponent: int, order: Optional[int]) -> int:
@@ -102,8 +108,7 @@ def _push(stack: list[tuple[int, int]], factor: int, exponent: int, spec: Cyclic
     stack still alternates, so pushing an alternating sequence keeps a
     normal form."""
     if stack and stack[-1][0] == factor:
-        factor_prev, exp_prev = stack.pop()
-        exponent = exp_prev + exponent
+        exponent += stack.pop()[1]
     exponent = _normalize_exponent(exponent, spec.order_of(factor))
     if exponent != 0:
         stack.append((factor, exponent))
@@ -113,22 +118,29 @@ def normal_form(spec: CyclicFactorSpec, w: Word) -> NormalForm:
     """The unique normal form of the element represented by ``w``.
     Words are equal in the group iff their normal forms are equal."""
     lookup = spec._lookup
+    # the syllables alternate factors, so a letter merges with the top
+    # one at most; a vanished top re-exposes the syllable below it.  The
+    # top syllable lives in (top, exponent), off the stack; top -1 means
+    # the form is empty
     stack: list[tuple[int, int]] = []
+    top, exponent = -1, 0
     for name, sign in w.letters:
         try:
             factor, order = lookup[name]
         except KeyError:
             raise FactorError(f"undeclared generator {name!r}") from None
-        # the stack alternates factors, so a letter merges with the top
-        # syllable at most; a vanished syllable leaves it alternating
-        if stack and stack[-1][0] == factor:
-            exponent = stack.pop()[1] + sign
+        if factor == top:
+            exponent += sign
+            if order is not None:
+                exponent %= order
+            if not exponent:
+                top, exponent = stack.pop() if stack else (-1, 0)
         else:
-            exponent = sign
-        if order is not None:
-            exponent %= order
-        if exponent:
-            stack.append((factor, exponent))
+            if top >= 0:
+                stack.append((top, exponent))
+            top, exponent = factor, sign if order is None else sign % order
+    if top >= 0:
+        stack.append((top, exponent))
     return NormalForm(tuple(stack))
 
 
@@ -175,7 +187,7 @@ def is_torsion(spec: CyclicFactorSpec, w: Word) -> tuple[bool, Optional[TorsionW
         merged = _normalize_exponent(exponent + first[1], spec.order_of(factor))
         if merged:
             syl.append((factor, merged))
-    conj_word = concat(Word.gen(spec.generator(i), e) for i, e in conj)
+    conj_word = _spell(spec, conj)
     if not syl:
         return True, TorsionWitness(conj_word, Word.empty())
     if len(syl) == 1 and spec.order_of(syl[0][0]) is not None:

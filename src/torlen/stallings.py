@@ -57,12 +57,12 @@ class SubgroupGraph:
     edges: tuple[tuple[int, str, int], ...]  # (source, label, target)
 
     def __post_init__(self):
-        # (vertex, label, sign) -> vertex reached, built once for
+        # steps[vertex]: (label, sign) -> vertex reached, built once for
         # membership; not a field, so == and hash compare the graph only
-        steps = {}
+        steps: list[dict[tuple[str, int], int]] = [{} for _ in range(self.n_vertices)]
         for u, g, v in self.edges:
-            steps[(u, g, 1)] = v
-            steps[(v, g, -1)] = u
+            steps[u][(g, 1)] = v
+            steps[v][(g, -1)] = u
         object.__setattr__(self, "_steps", steps)
 
     def rank(self) -> int:
@@ -180,11 +180,31 @@ def free_basis(graph: SubgroupGraph) -> FreeBasis:
 
 
 def membership(graph: SubgroupGraph, w: Word) -> bool:
-    """True iff the freely reduced word traces a base-to-base loop."""
+    """True iff the freely reduced word traces a base-to-base loop.
+
+    The walk reads ``w`` as it stands.  A folded graph is deterministic
+    in both directions, so a pair ``x x^-1`` read on the graph returns
+    to where it started, and a walk that never leaves the graph ends
+    where the reduced word's walk ends.  A reduced word that leaves the
+    graph is no member; only an unreduced one is reduced and walked
+    again."""
     steps = graph._steps
+    letters = w.letters
     vertex = graph.base
-    for g, s in free_reduce(w).letters:
-        vertex = steps.get((vertex, g, s))
+    for letter in letters:
+        vertex = steps[vertex].get(letter)
+        if vertex is None:
+            break
+    else:
+        return vertex == graph.base
+    for (g, s), (h, t) in zip(letters, letters[1:]):
+        if g == h and s != t:
+            break
+    else:
+        return False
+    vertex = graph.base
+    for letter in free_reduce(w).letters:
+        vertex = steps[vertex].get(letter)
         if vertex is None:
             return False
     return vertex == graph.base

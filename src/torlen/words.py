@@ -178,13 +178,6 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
     return free_reduce(Word(tuple(out)))
 
 
-def concat(words: Iterable[Word]) -> Word:
-    letters: list[Letter] = []
-    for w in words:
-        letters.extend(w.letters)
-    return Word(tuple(letters))
-
-
 def fresh_symbol(stem: str, taken: set[str]) -> str:
     """``stem`` itself when it is not taken, else the first ``stem_k``
     (k = 1, 2, ...) that is not.  The suffix keeps the name legal in the

@@ -101,7 +101,7 @@ def test_normal_form_known_identities():
 
 @pytest.mark.parametrize(
     "spec_text",
-    ["x:2 y:2", "x:2 y:3", "x:3 y:4", "x:4 y:inf", "x:inf y:inf", "x:2 y:inf"],
+    ["x:2 y:2", "x:2 y:3", "x:3 y:4", "x:4 y:inf", "x:inf y:inf", "x:2 y:inf", "x:2 y:3 z:inf"],
 )
 def test_normal_form_matches_rewrite_oracle(spec_text):
     spec = CyclicFactorSpec.from_text(spec_text)

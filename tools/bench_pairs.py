@@ -6,8 +6,11 @@
 Each pair runs ``perfbench/run.py`` once in each checkout on the same
 seed, the parent first in even pairs and the change first in odd ones.
 The output file keeps every run's result line (the last line ``run.py``
-prints) under its workload, seed and side, plus the Python version and
-CPU count of the machine.  An existing file is extended, so the
+prints) under its workload, seed and side, with the number of passes the
+run timed (from the report on its first line) added as ``passes``, plus
+the Python version and CPU count of the machine.  ``peak_rss_mib`` is a
+maximum over the whole run, so a side that fits more passes can read
+higher with the same memory per pass; the pass counts show when it does.  An existing file is extended, so the
 workloads can be run one at a time.
 """
 
@@ -35,7 +38,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    run["passes"] = json.loads(lines[0])["report"]["passes"]
+    return run
 
 
 def value(run: dict, metric: str) -> float:
@@ -64,6 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(seed, *(f"{m} {value(pair['parent'], m):.4g} -> {value(pair['change'], m):.4g}"
                       for m in sorted(pair["parent"]["metrics"])),
+              f"passes {pair['parent']['passes']} -> {pair['change']['passes']}",
               f"failed {pair['parent']['failed']} -> {pair['change']['failed']}", flush=True)
 
     mine = [p for p in pairs if p["workload"] == args.workload]
@@ -75,6 +82,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.workload} {m}: median {statistics.median(before):.4g} -> "
               f"{statistics.median(after):.4g}, parent IQR {q3 - q1:.3g}, "
               f"change lower in {wins}/{len(mine)}")
+    # runs recorded before pass counts were kept have none
+    counted = [p for p in mine if "passes" in p["parent"] and "passes" in p["change"]]
+    if counted:
+        print(f"{args.workload} passes: median "
+              f"{statistics.median(p['parent']['passes'] for p in counted):g} -> "
+              f"{statistics.median(p['change']['passes'] for p in counted):g} "
+              f"over {len(counted)} pairs")
     return 0
 
 
