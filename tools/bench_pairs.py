@@ -8,10 +8,12 @@ seed, the parent first in even pairs and the change first in odd ones.
 The output file keeps every run's result line (the last line ``run.py``
 prints) under its workload, seed and side, with the number of passes the
 run timed (from the report on its first line) added as ``passes``, plus
-the Python version and CPU count of the machine.  ``peak_rss_mib`` is a
-maximum over the whole run, so a side that fits more passes can read
-higher with the same memory per pass; the pass counts show when it does.  An existing file is extended, so the
-workloads can be run one at a time.
+the Python version and CPU count of the machine.  An existing file is
+extended, so the workloads can be run one at a time.
+
+``peak_rss_mib`` is a maximum over the whole run, so a side that fits
+more passes can read higher with the same memory per pass; the pass
+counts, printed per pair and as medians, show when it does.
 """
 
 from __future__ import annotations
