@@ -1,7 +1,7 @@
 """Golden outputs: every CLI subcommand on fixed inputs, plus digests of
 the level-2 torsion certificates, of Nielsen reduction, of Stallings
-folding, of coset enumeration, of Smith normal form and of the
-consequence balls behind the certificate search.
+folding, of coset enumeration (as enumerated and standardized), of Smith
+normal form and of the consequence balls behind the certificate search.
 
 The golden file holds stdout (split into lines) and the exit code of
 each command; stderr carries wall time and is not compared.  To write
@@ -169,10 +169,10 @@ def coxeter_sym(n: int) -> Presentation:
     return Presentation(tuple(s), tuple(rels))
 
 
-def coset_digest() -> str:
-    """Coset enumeration of criterion 4's P_{j,k,l}+x,y grid, of x^k for
-    k = 2..50, of F(2,5) and F(2,7), of S_6 and S_7 over <s1>, and of
-    P_{2,2,2}, which stays bound_exceeded at the default budget."""
+def coset_runs() -> list[tuple[Presentation, tuple[Word, ...], int]]:
+    """Criterion 4's P_{j,k,l}+x,y grid, x^k for k = 2..50, F(2,5) and
+    F(2,7), S_6 and S_7 over <s1>, and P_{2,2,2}, which stays
+    bound_exceeded at the default budget."""
     xy = [Word.gen("x"), Word.gen("y")]
     runs = [(build_pn(1), (), 10_000)]
     for j in range(2, 7):
@@ -184,10 +184,43 @@ def coset_digest() -> str:
     runs += [(fibonacci(5), (), 10_000), (fibonacci(7), (), 200_000)]
     runs += [(coxeter_sym(n), (Word.gen("s1"),), 10_000) for n in (6, 7)]
     runs.append((build_pjkl(2, 2, 2), (), 10_000))
+    return runs
+
+
+def coset_digest() -> str:
+    """Coset enumeration of coset_runs(), by table digest."""
+    tables = []
+    for p, subgroup, limit in coset_runs():
+        t = todd_coxeter(p, subgroup, max_cosets=limit)
+        tables.append((t.status, t.index, t.limit, t.digest()))
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+def standardize(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Renumber a complete coset table breadth-first from coset 0, taking
+    its columns in order: the standardized table of Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory (2005), ch. 5.  It depends
+    only on the action, not on the order the cosets were defined in."""
+    if not rows:
+        return rows
+    number, order = {0: 0}, [0]
+    for c in order:
+        for d in rows[c]:
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+    return tuple(tuple(number[d] for d in rows[c]) for c in order)
+
+
+def coset_std_digest() -> str:
+    """Coset enumeration of coset_runs() plus S_8 over <s1> at 40,000
+    cosets, by standardized rows: it pins the action, not the order the
+    enumerator defined its cosets in."""
+    runs = coset_runs() + [(coxeter_sym(8), (Word.gen("s1"),), 40_000)]
     tables = []
     for p, subgroup, limit in runs:
         t = todd_coxeter(p, subgroup, max_cosets=limit)
-        tables.append((t.status, t.index, t.limit, t.digest()))
+        tables.append((t.status, t.index, t.limit, standardize(t.rows)))
     return hashlib.sha256(repr(tables).encode()).hexdigest()
 
 
@@ -276,6 +309,10 @@ def test_coset_digest_matches_golden():
     assert coset_digest() == json.loads(GOLDEN.read_text())["coset_sha256"]
 
 
+def test_coset_std_digest_matches_golden():
+    assert coset_std_digest() == json.loads(GOLDEN.read_text())["coset_std_sha256"]
+
+
 def test_snf_digest_matches_golden():
     assert snf_digest() == json.loads(GOLDEN.read_text())["snf_sha256"]
 
@@ -308,6 +345,7 @@ if __name__ == "__main__":
         "nielsen_reduce_sha256": nielsen_digest(),
         "fold_sha256": fold_digest(),
         "coset_sha256": coset_digest(),
+        "coset_std_sha256": coset_std_digest(),
         "snf_sha256": snf_digest(),
         "closure_sha256": closure_digest(),
     }
