@@ -4,7 +4,9 @@ Relator-tracing with immediate coincidence processing over a
 union-find of cosets; between scans, table entries name live cosets
 only.  Completion certifies the index of the given subgroup; exceeding
 the coset budget only means "not certified finite at this budget",
-never "infinite".
+never "infinite".  A complete table comes back standardized (Holt, Eick
+& O'Brien, Handbook of Computational Group Theory, 2005, ch. 5), so its
+rows and digest depend on the action only, not on the definition order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class CosetTable:
     index: int | None
     limit: int | None
     generators: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]  # compacted action table, complete only
+    rows: tuple[tuple[int, ...], ...]  # standardized action table, complete only
 
     def digest(self) -> str:
         payload = repr((self.generators, self.rows)).encode()
@@ -172,8 +174,15 @@ def todd_coxeter(
     except BoundExceeded as exc:
         return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
 
-    # compact: renumber live cosets in allocation order
-    live = [a for a in range(len(table)) if parent[a] == a]
-    number = {a: i for i, a in enumerate(live)}
-    rows = tuple(tuple(number[e] for e in table[a]) for a in live)
-    return CosetTable("complete", len(live), None, p.generators, rows)
+    # standardize: number the live cosets breadth-first from coset 0,
+    # taking letters in column order, so the rows depend only on the action
+    number = [-1] * len(table)
+    number[0] = 0
+    order = [0]
+    for a in order:
+        for b in table[a]:
+            if number[b] < 0:
+                number[b] = len(order)
+                order.append(b)
+    rows = tuple(tuple(number[b] for b in table[a]) for a in order)
+    return CosetTable("complete", len(order), None, p.generators, rows)

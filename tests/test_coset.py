@@ -12,6 +12,8 @@ from torlen.coset import todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
 from torlen.words import Word, free_reduce
 
+from test_golden import standardize
+
 
 def P(gens, *relators):
     return Presentation(tuple(gens.split()), tuple(Word.from_text(r) for r in relators))
@@ -201,7 +203,7 @@ def reference_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000):
     """A frozen copy of the HLT enumerator as first written on live-only
     table entries: union-find lookups on both ends of every coincidence,
     a nested identify, and the same definition and coincidence order.
-    Returns (status, index, limit, rows)."""
+    Returns (status, index, limit, rows), with rows in allocation order."""
     n_letters = 2 * len(p.generators)
     index = {g: i for i, g in enumerate(p.generators)}
 
@@ -320,7 +322,8 @@ def test_matches_reference_enumerator(case, with_subgroup, max_cosets):
     p, subgroup = case
     subgroup = subgroup if with_subgroup else []
     t = todd_coxeter(p, subgroup, max_cosets=max_cosets)
-    assert (t.status, t.index, t.limit, t.rows) == reference_todd_coxeter(p, subgroup, max_cosets)
+    status, index, limit, rows = reference_todd_coxeter(p, subgroup, max_cosets)
+    assert (t.status, t.index, t.limit, t.rows) == (status, index, limit, standardize(rows))
 
 
 def test_reference_enumerator_runs_out_after_coincidences():
