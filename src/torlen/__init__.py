@@ -18,7 +18,7 @@ from .constructions import (
     build_qn,
     build_tgen,
 )
-from .coset import BoundExceeded, CosetTable, todd_coxeter
+from .coset import BoundExceeded, CosetTable, table_error, todd_coxeter
 from .freeprod import (
     CyclicFactorSpec,
     NoWitnessUpToBound,
