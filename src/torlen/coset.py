@@ -2,11 +2,14 @@
 
 Relator-tracing with immediate coincidence processing over a
 union-find of cosets; between scans, table entries name live cosets
-only.  Completion certifies the index of the given subgroup; exceeding
-the coset budget only means "not certified finite at this budget",
-never "infinite".  A complete table comes back standardized (Holt, Eick
-& O'Brien, Handbook of Computational Group Theory, 2005, ch. 5), so its
-rows and digest depend on the action only, not on the definition order.
+only.  A generator is an involution when some relator's cyclic core is
+``x x`` or ``x^-1 x^-1``; it gets one table column, which enforces that
+relator, so the relator is not scanned.  Completion certifies the index
+of the given subgroup; exceeding the coset budget only means "not
+certified finite at this budget", never "infinite".  A complete table
+comes back standardized (Holt, Eick & O'Brien, Handbook of Computational
+Group Theory, 2005, ch. 5), so its rows and digest depend on the action
+only, not on the definition order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 
 from .presentation import Presentation
 from .stallings import UnionFind
-from .words import Word, free_reduce
+from .words import Word, cyclic_reduce, free_reduce
 
 
 class BoundExceeded(Exception):
@@ -45,26 +48,27 @@ class CosetTable:
 
 
 class _Enumerator(UnionFind):
-    """Coset table over letters 2i (generator i) and 2i+1 (its inverse),
-    so letter ^ 1 is the inverse letter.  Between calls every entry of a
-    live coset names a live coset, so scans read the table directly; a
-    coset is dead once the union-find has merged it into a lesser one."""
+    """Coset table with one column per letter, where inv[x] is the column
+    of x's inverse letter (x itself for an involution).  Between calls
+    every entry of a live coset names a live coset, so scans read the
+    table directly; a coset is dead once the union-find has merged it
+    into a lesser one."""
 
-    def __init__(self, n_letters: int, max_cosets: int):
+    def __init__(self, inv: list[int], max_cosets: int):
         super().__init__(1)
-        self.n_letters = n_letters
+        self.inv = inv
         self.max_cosets = max_cosets
-        self.table: list[list[int | None] | None] = [[None] * n_letters]
+        self.table: list[list[int | None] | None] = [[None] * len(inv)]
         self.live_count = 1
 
     def define(self, a: int, x: int):
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
         b = self.add()
-        self.table.append([None] * self.n_letters)
+        self.table.append([None] * len(self.inv))
         self.live_count += 1
         self.table[a][x] = b
-        self.table[b][x ^ 1] = a
+        self.table[b][self.inv[x]] = a
 
     def coincidence(self, a: int, b: int):
         """Identify live cosets a and b and every coincidence this forces:
@@ -73,7 +77,7 @@ class _Enumerator(UnionFind):
         cosets; each dead row's entries move to the survivors (the least
         coset of each class) and the row is dropped.  A root is read as
         parent[c] (c itself when live); find runs only if that is dead."""
-        table, parent, find = self.table, self.parent, self.find
+        table, parent, find, inv = self.table, self.parent, self.find, self.inv
         queue = [max(a, b)]
         parent[queue[0]] = min(a, b)
         for e in queue:
@@ -81,7 +85,8 @@ class _Enumerator(UnionFind):
             for x, f in enumerate(table[e]):
                 if f is None:
                     continue
-                table[f][x ^ 1] = None
+                ix = inv[x]
+                table[f][ix] = None
                 if parent[mu] != mu:
                     mu = find(mu)
                 nu = parent[f]
@@ -89,10 +94,10 @@ class _Enumerator(UnionFind):
                     nu = find(nu)
                 if (c := table[mu][x]) is not None:
                     d = nu
-                elif (c := table[nu][x ^ 1]) is not None:
+                elif (c := table[nu][ix]) is not None:
                     d = mu
                 else:
-                    table[mu][x], table[nu][x ^ 1] = nu, mu
+                    table[mu][x], table[nu][ix] = nu, mu
                     continue
                 c = parent[c]
                 if parent[c] != c:
@@ -104,17 +109,17 @@ class _Enumerator(UnionFind):
             table[e] = None
         self.live_count -= len(queue)
 
-    def scan_and_fill(self, start: int, word: tuple[int, ...]):
+    def scan_and_fill(self, start: int, word: tuple[int, ...], back: tuple[int, ...]):
         """Trace word from live coset start, forwards and backwards,
         defining cosets until the two ends meet or one entry closes the
-        gap (a deduction)."""
+        gap (a deduction).  back[i] is the inverse column of word[i]."""
         table = self.table
         f, fi = start, 0
         b, bi = start, len(word)
         while True:
             while fi < bi and (nxt := table[f][word[fi]]) is not None:
                 f, fi = nxt, fi + 1
-            while bi > fi and (prev := table[b][word[bi - 1] ^ 1]) is not None:
+            while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
                 b, bi = prev, bi - 1
             if bi == fi:
                 if f != b:
@@ -122,13 +127,15 @@ class _Enumerator(UnionFind):
                 return
             if bi == fi + 1:  # both slots are empty: the scans stopped there
                 table[f][word[fi]] = b
-                table[b][word[fi] ^ 1] = f
+                table[b][back[fi]] = f
                 return
             self.define(f, word[fi])
 
 
-def _word_to_letters(w: Word, index: dict[str, int]) -> tuple[int, ...]:
-    return tuple(index[g] * 2 + (0 if s == 1 else 1) for g, s in w.letters)
+def _involution(r: Word) -> str | None:
+    """The generator x when r's cyclic core is x x or x^-1 x^-1."""
+    core = cyclic_reduce(r)[0].letters
+    return core[0][0] if len(core) == 2 and core[0] == core[1] else None
 
 
 def todd_coxeter(
@@ -148,22 +155,34 @@ def todd_coxeter(
     for w in subgroup:
         if extra := w.symbols() - index.keys():
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
-    relators = [_word_to_letters(r, index) for r in p.relators if r]
-    subgroup_words = [_word_to_letters(w, index) for w in subgroup if w]
-
     if not p.generators:
         return CosetTable("complete", 1, None, p.generators, ((),))
 
-    enum = _Enumerator(2 * len(p.generators), max_cosets)
+    # col[2i], col[2i+1]: the table columns of generator i and its inverse
+    involutions = {_involution(r) for r in p.relators}
+    col, inv = [], []
+    for g in p.generators:
+        c = len(inv)
+        col += [c, c] if g in involutions else [c, c + 1]
+        inv += [c] if g in involutions else [c + 1, c]
+
+    def letters(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        word = tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)
+        return word, tuple(inv[x] for x in word)
+
+    relators = [letters(r) for r in p.relators if r and not _involution(r)]
+    subgroup_words = [letters(w) for w in subgroup if w]
+
+    enum = _Enumerator(inv, max_cosets)
     table, parent, scan, define = enum.table, enum.parent, enum.scan_and_fill, enum.define
     try:
-        for w in subgroup_words:
-            scan(0, w)
+        for w, back in subgroup_words:
+            scan(0, w, back)
         alpha = 0
         while alpha < len(table):
             if parent[alpha] == alpha:
-                for rel in relators:
-                    scan(alpha, rel)
+                for rel, back in relators:
+                    scan(alpha, rel, back)
                     if parent[alpha] != alpha:
                         break
                 else:
@@ -175,7 +194,8 @@ def todd_coxeter(
         return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
 
     # standardize: number the live cosets breadth-first from coset 0,
-    # taking letters in column order, so the rows depend only on the action
+    # taking letters in column order, so the rows depend only on the
+    # action; an involution's two letters read its one column
     number = [-1] * len(table)
     number[0] = 0
     order = [0]
@@ -184,7 +204,7 @@ def todd_coxeter(
             if number[b] < 0:
                 number[b] = len(order)
                 order.append(b)
-    rows = tuple(tuple(number[b] for b in table[a]) for a in order)
+    rows = tuple(tuple(number[table[a][c]] for c in col) for a in order)
     return CosetTable("complete", len(order), None, p.generators, rows)
 
 
