@@ -48,7 +48,6 @@ from .presentation import (
     hnn_presentation,
     kill_generators,
     parse_presentation,
-    presentation_to_json,
     serialize_presentation,
 )
 from .stallings import (
@@ -56,7 +55,6 @@ from .stallings import (
     SubgroupGraph,
     build_subgroup_graph,
     closure_members,
-    closure_membership_oracle,
     free_basis,
     graph_report,
     membership,
@@ -67,7 +65,6 @@ from .torsion import (
     QuotientStep,
     TorsionCertificate,
     TorsionLengthReport,
-    certified_words,
     in_certified_class,
     torsion_certificate_search,
     torsion_length,
@@ -79,8 +76,6 @@ from .words import (
     WordError,
     cyclic_reduce,
     free_reduce,
-    is_cyclically_reduced,
-    is_freely_reduced,
     substitute,
 )
 

@@ -380,12 +380,3 @@ def serialize_presentation(p: Presentation) -> str:
     for r in p.relators:
         lines.append("rel: " + r.to_text())
     return "\n".join(lines) + "\n"
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    return {
-        "generators": list(p.generators),
-        "relators": [
-            [g if s == 1 else g + "^-1" for g, s in r.letters] for r in p.relators
-        ],
-    }

@@ -298,15 +298,3 @@ def closure_members(
         letter[i + 1] = (g, 1)
         letter[-(i + 1)] = (g, -1)
     return frozenset(tuple(map(letter.__getitem__, w)) for w in seen if len(w) <= max_length)
-
-
-def closure_membership_oracle(
-    generators: Iterable[Word], w: Word, max_length: int = 8
-) -> bool:
-    """Brute-force membership oracle, independent of the folded graph:
-    answers for freely reduced words of length up to ``max_length`` by
-    breadth-first closure (see closure_members)."""
-    target = free_reduce(w)
-    if len(target) > max_length:
-        raise ValueError(f"oracle only answers words of length <= {max_length}")
-    return target.letters in closure_members(generators, max_length)

@@ -400,7 +400,3 @@ def torsion_certificate_search(
     return CertificateSearchReport(
         level, word_bound, exponent_bound, consequence_budget, exhaustive, certificates
     )
-
-
-def certified_words(report: CertificateSearchReport) -> set[Word]:
-    return {c.word for c in report.certificates}

@@ -129,10 +129,6 @@ def free_reduce(w: Word) -> Word:
     return Word(tuple(stack))
 
 
-def is_freely_reduced(w: Word) -> bool:
-    return w == free_reduce(w)
-
-
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, conjugator) with ``w`` freely equal to
     conjugator * core * conjugator^-1 and core cyclically reduced."""
@@ -147,11 +143,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
         else:
             break
     return Word(tuple(letters)), Word(tuple(prefix))
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    core, conj = cyclic_reduce(w)
-    return not conj and core == w
 
 
 def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:

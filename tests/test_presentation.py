@@ -19,7 +19,6 @@ from torlen.presentation import (
     hnn_presentation,
     kill_generators,
     parse_presentation,
-    presentation_to_json,
     serialize_presentation,
 )
 from torlen.words import Word
@@ -276,14 +275,6 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nwat: x\n")
     except PresentationSyntaxError as exc:
         assert exc.line == 2
-
-
-def test_json_schema():
-    p = P("x y", "x y^-1")
-    assert presentation_to_json(p) == {
-        "generators": ["x", "y"],
-        "relators": [["x", "y^-1"]],
-    }
 
 
 # -- morphisms -------------------------------------------------------------

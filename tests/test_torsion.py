@@ -9,7 +9,6 @@ from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
 from torlen.presentation import Presentation, canonicalize, free_product
 from torlen.torsion import (
-    certified_words,
     in_certified_class,
     torsion_certificate_search,
     torsion_length,
@@ -261,11 +260,6 @@ def test_supporting_certificates_are_verified_once(monkeypatch):
     )
     assert all(c.verify() for c in report.certificates)
     assert len(calls) == len(report.certificates) + len(supporting)
-
-
-def test_certified_words_helper():
-    report = torsion_certificate_search(P("x", "x x x"), level=1)
-    assert Word.gen("x") in certified_words(report)
 
 
 def test_search_rejects_bad_level():
