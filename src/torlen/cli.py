@@ -40,11 +40,10 @@ EXIT_BUDGET = 2
 
 
 def budget_scale() -> int:
-    raw = os.environ.get("TORLEN_BUDGET_SCALE", "1")
     try:
-        scale = int(raw)
+        scale = int(os.environ.get("TORLEN_BUDGET_SCALE", "1"))
     except ValueError:
-        raise SystemExit("TORLEN_BUDGET_SCALE must be a positive integer")
+        scale = 0
     if scale < 1:
         raise SystemExit("TORLEN_BUDGET_SCALE must be a positive integer")
     return scale
@@ -85,42 +84,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _emit_construction(name: str, args, p, result, counts: dict, extra: dict) -> int:
+    """Write a construction's presentation, then its JSON summary."""
+    q = result.presentation
+    _emit_presentation(q, args.out)
+    counts = {"generators": len(q.generators), "relators": len(q.relators), **counts}
+    parameters = {"input_generators": len(p.generators)}
+    _emit_json({"construction": name, "parameters": parameters, "counts": counts, **extra})
+    return EXIT_OK
+
+
 def cmd_tgen(args) -> int:
     p = _read_presentation(args.file)
     result = build_tgen(p)
-    _emit_presentation(result.presentation, args.out)
-    _emit_json(
-        {
-            "construction": "tgen",
-            "parameters": {"input_generators": len(p.generators)},
-            "counts": {
-                "generators": len(result.presentation.generators),
-                "relators": len(result.presentation.relators),
-                "intermediate_relators": len(result.intermediate.relators),
-            },
-            "images": {g: w.to_text() for g, w in result.images.items()},
-        }
-    )
-    return EXIT_OK
+    counts = {"intermediate_relators": len(result.intermediate.relators)}
+    images = {g: w.to_text() for g, w in result.images.items()}
+    return _emit_construction("tgen", args, p, result, counts, {"images": images})
 
 
 def cmd_ln(args) -> int:
     p = _read_presentation(args.file)
     result = build_ln(p)
-    _emit_presentation(result.presentation, args.out)
-    _emit_json(
-        {
-            "construction": "ln",
-            "parameters": {"input_generators": len(p.generators)},
-            "counts": {
-                "generators": len(result.presentation.generators),
-                "relators": len(result.presentation.relators),
-                "rank": result.rank,
-            },
-            "degenerate": result.degenerate,
-        }
-    )
-    return EXIT_OK
+    extra = {"degenerate": result.degenerate}
+    return _emit_construction("ln", args, p, result, {"rank": result.rank}, extra)
 
 
 def cmd_torlen(args) -> int:
@@ -204,44 +190,29 @@ def cmd_conjsep(args) -> int:
     result = conjugate_separation_search(
         spec, Word.from_text(args.a), Word.from_text(args.b), syllables, exponent
     )
-    if isinstance(result, NoWitnessUpToBound):
-        _emit_json(
-            {
-                "verdict": "no-witness-up-to-bound",
-                "bounds": {"max_syllables": syllables, "max_exponent": exponent},
-            }
-        )
-    else:
-        _emit_json(
-            {
-                "verdict": "witness",
-                "bounds": {"max_syllables": syllables, "max_exponent": exponent},
-                "witness": {"x": result.x.to_text(), "i": result.i, "j": result.j},
-            }
-        )
+    payload = {
+        "verdict": "no-witness-up-to-bound",
+        "bounds": {"max_syllables": syllables, "max_exponent": exponent},
+    }
+    if not isinstance(result, NoWitnessUpToBound):
+        payload["verdict"] = "witness"
+        payload["witness"] = {"x": result.x.to_text(), "i": result.i, "j": result.j}
+    _emit_json(payload)
     return EXIT_OK
 
 
 def cmd_pingpong(args) -> int:
     spec = CyclicFactorSpec.from_text(args.spec)
-    ok = ping_pong_free_check(
-        spec, Word.from_text(args.u), Word.from_text(args.v), args.len
-    )
-    _emit_json(
-        {
-            "verdict": "free-up-to-bound" if ok else "not-free",
-            "bounds": {"max_length": args.len},
-        }
-    )
+    ok = ping_pong_free_check(spec, Word.from_text(args.u), Word.from_text(args.v), args.len)
+    verdict = "free-up-to-bound" if ok else "not-free"
+    _emit_json({"verdict": verdict, "bounds": {"max_length": args.len}})
     return EXIT_OK
 
 
 def cmd_ab(args) -> int:
     p = _read_presentation(args.file)
     inv = abelianization(p)
-    _emit_json(
-        {"torsion": list(inv.torsion_coefficients), "free_rank": inv.free_rank}
-    )
+    _emit_json({"torsion": list(inv.torsion_coefficients), "free_rank": inv.free_rank})
     return EXIT_OK
 
 
@@ -270,26 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a construction-family presentation")
+    gen.set_defaults(func=cmd_gen)
     gensub = gen.add_subparsers(dest="family", required=True)
     pn = gensub.add_parser("pn")
     pn.add_argument("--n", type=int, required=True)
     pn.add_argument("--exp", type=int, default=3)
-    pn.add_argument("--out")
-    pn.set_defaults(func=cmd_gen)
     pjkl = gensub.add_parser("pjkl")
     pjkl.add_argument("j", type=int)
     pjkl.add_argument("k", type=int)
     pjkl.add_argument("l", type=int)
-    pjkl.add_argument("--out")
-    pjkl.set_defaults(func=cmd_gen)
     qn = gensub.add_parser("qn")
     qn.add_argument("--n", type=int, required=True)
-    qn.add_argument("--out")
-    qn.set_defaults(func=cmd_gen)
     chain = gensub.add_parser("chain")
     chain.add_argument("--m", type=int, required=True)
-    chain.add_argument("--out")
-    chain.set_defaults(func=cmd_gen)
+    for family in (pn, pjkl, qn, chain):
+        family.add_argument("--out")
 
     tgen = sub.add_parser("tgen", help="two-generator embedding of a presentation")
     tgen.add_argument("file")
