@@ -1,15 +1,13 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
-Relator-tracing with immediate coincidence processing over a
-union-find of cosets; between scans, table entries name live cosets
-only.  A generator is an involution when some relator's cyclic core is
-``x x`` or ``x^-1 x^-1``; it gets one table column, which enforces that
-relator, so the relator is not scanned.  Completion certifies the index
-of the given subgroup; exceeding the coset budget only means "not
-certified finite at this budget", never "infinite".  A complete table
-comes back standardized (Holt, Eick & O'Brien, Handbook of Computational
-Group Theory, 2005, ch. 5), so its rows and digest depend on the action
-only, not on the definition order.
+Relator-tracing with immediate coincidence processing over a union-find
+of cosets; between scans, table entries name live cosets only.  An
+involution (a relator's cyclic core is x x or x^-1 x^-1) gets one column,
+which enforces that relator.  Completion certifies the index of the
+given subgroup; exceeding the coset budget only means "not certified
+finite at this budget", never "infinite".  Complete tables come back
+standardized (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 5): their rows depend on the action only.
 """
 
 from __future__ import annotations
@@ -193,9 +191,8 @@ def todd_coxeter(
     except BoundExceeded as exc:
         return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
 
-    # standardize: number the live cosets breadth-first from coset 0,
-    # taking letters in column order, so the rows depend only on the
-    # action; an involution's two letters read its one column
+    # standardize: number the live cosets breadth-first from coset 0, taking
+    # columns in order; an involution's two output columns read its one
     number = [-1] * len(table)
     number[0] = 0
     order = [0]
