@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .presentation import Presentation
 from .stallings import UnionFind
-from .words import Word, cyclic_reduce, free_reduce
+from .words import Word, cyclic_split_ints, free_reduce, reduce_ints, word_to_ints
 
 
 class BoundExceeded(Exception):
@@ -130,10 +130,13 @@ class _Enumerator(UnionFind):
             self.define(f, word[fi])
 
 
-def _involution(r: Word) -> str | None:
-    """The generator x when r's cyclic core is x x or x^-1 x^-1."""
-    core = cyclic_reduce(r)[0].letters
-    return core[0][0] if len(core) == 2 and core[0] == core[1] else None
+def _involution(r: Word, index: dict[str, int]) -> int | None:
+    """The index of generator x when r's cyclic core is x x or x^-1 x^-1.
+    Free and cyclic reduction keep a word's length odd or even."""
+    if len(r) % 2:
+        return None
+    core = cyclic_split_ints(reduce_ints(word_to_ints(r, index)))[1]
+    return abs(core[0]) - 1 if len(core) == 2 and core[0] == core[1] else None
 
 
 def todd_coxeter(
@@ -156,19 +159,20 @@ def todd_coxeter(
     if not p.generators:
         return CosetTable("complete", 1, None, p.generators, ((),))
 
+    squares = [_involution(r, index) for r in p.relators]
+    involutions = set(squares)
     # col[2i], col[2i+1]: the table columns of generator i and its inverse
-    involutions = {_involution(r) for r in p.relators}
     col, inv = [], []
-    for g in p.generators:
+    for i in range(len(index)):
         c = len(inv)
-        col += [c, c] if g in involutions else [c, c + 1]
-        inv += [c] if g in involutions else [c + 1, c]
+        col += [c, c] if i in involutions else [c, c + 1]
+        inv += [c] if i in involutions else [c + 1, c]
 
     def letters(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
         word = tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)
-        return word, tuple(inv[x] for x in word)
+        return word, tuple(map(inv.__getitem__, word))
 
-    relators = [letters(r) for r in p.relators if r and not _involution(r)]
+    relators = [letters(r) for r, x in zip(p.relators, squares) if r and x is None]
     subgroup_words = [letters(w) for w in subgroup if w]
 
     enum = _Enumerator(inv, max_cosets)
