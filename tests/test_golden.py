@@ -212,16 +212,19 @@ def standardize(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...
     return tuple(tuple(number[d] for d in rows[c]) for c in order)
 
 
-def coset_std_digest(rows_of=standardize) -> str:
-    """Coset enumeration of coset_runs() plus S_8 over <s1> at 40,000
-    cosets, by standardized rows: it pins the action, not the order the
-    enumerator defined its cosets in."""
+def coset_std_tables() -> list[tuple]:
+    """(status, index, limit, rows) of coset_runs() plus S_8 over <s1> at
+    40,000 cosets, rows as todd_coxeter returns them."""
     runs = coset_runs() + [(coxeter_sym(8), (Word.gen("s1"),), 40_000)]
-    tables = []
-    for p, subgroup, limit in runs:
-        t = todd_coxeter(p, subgroup, max_cosets=limit)
-        tables.append((t.status, t.index, t.limit, rows_of(t.rows)))
-    return hashlib.sha256(repr(tables).encode()).hexdigest()
+    tables = [todd_coxeter(p, subgroup, max_cosets=limit) for p, subgroup, limit in runs]
+    return [(t.status, t.index, t.limit, t.rows) for t in tables]
+
+
+def coset_std_digest(tables: list[tuple]) -> str:
+    """The tables by standardized rows: this pins the action, not the
+    order the enumerator defined its cosets in."""
+    payload = [(status, index, limit, standardize(rows)) for status, index, limit, rows in tables]
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:
@@ -311,9 +314,10 @@ def test_coset_digest_matches_golden():
 
 def test_coset_std_digest_matches_golden():
     expected = json.loads(GOLDEN.read_text())["coset_std_sha256"]
-    assert coset_std_digest() == expected
+    tables = coset_std_tables()
+    assert coset_std_digest(tables) == expected
     # todd_coxeter standardizes its rows itself: as they come, they hash the same
-    assert coset_std_digest(lambda rows: rows) == expected
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == expected
 
 
 def test_snf_digest_matches_golden():
@@ -348,7 +352,7 @@ if __name__ == "__main__":
         "nielsen_reduce_sha256": nielsen_digest(),
         "fold_sha256": fold_digest(),
         "coset_sha256": coset_digest(),
-        "coset_std_sha256": coset_std_digest(),
+        "coset_std_sha256": coset_std_digest(coset_std_tables()),
         "snf_sha256": snf_digest(),
         "closure_sha256": closure_digest(),
     }
