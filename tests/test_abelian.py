@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants, invariants_from_diagonal, smith_normal_form
 from torlen.constructions import build_pn
-from torlen.presentation import abelianization
+from torlen.presentation import Presentation, abelianization
+from torlen.words import Word
 
 
 def minors_gcd(matrix, k):
@@ -116,6 +117,40 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_snf_matches_minor_gcd_oracle_on_random_matrices(m):
     assert smith_normal_form(m) == snf_oracle(m)
+
+
+def exponent_matrix(p):
+    """Relators x generators matrix of exponent sums, built cell by cell."""
+    return [
+        [sum(s for g, s in r.letters if g == gen) for gen in p.generators]
+        for r in p.relators
+    ]
+
+
+@st.composite
+def small_presentations(draw):
+    """1-4 generators, some possibly in no relator, and 0-4 relators.  A
+    relator is a random word or a conjugate ``u x u^-1``, whose exponent
+    sums cancel except on ``x``."""
+    gens = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=6)
+
+    def relator():
+        if draw(st.booleans()):
+            return draw(word)
+        u, x = draw(word), draw(word)
+        return u + x + [(g, -s) for g, s in reversed(u)]
+
+    relators = [Word(tuple(relator())) for _ in range(draw(st.integers(0, 4)))]
+    return Presentation.build(gens, relators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_presentations())
+def test_abelianization_matches_minor_gcd_oracle(p):
+    diag = snf_oracle(exponent_matrix(p))
+    assert abelianization(p) == invariants_from_diagonal(diag, len(p.generators))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
