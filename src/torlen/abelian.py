@@ -1,5 +1,8 @@
 """Exact integer Smith normal form and abelian invariants.
 
+One elimination loop over sparse ``{col: value}`` rows computes every
+Smith normal form: ``abelianization`` hands it the relators' exponent
+sums directly, and ``smith_normal_form`` converts a dense matrix first.
 Everything runs over Python's arbitrary-precision ints; entries like
 3 * 2**n arise quickly in the constructions and must not overflow.
 """
@@ -34,28 +37,38 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
 
     Returns the list of diagonal entries d_1 | d_2 | ... (non-negative,
     zeros trailing), of length min(rows, cols).
-
-    Relation matrices are sparse, so elimination runs on ``{col: value}``
-    rows with a column -> rows index, driven by worklists of touched rows:
-    first unit pivots, then divisor pivots (an entry dividing every other
-    entry of its row and column, which splits off diag(d, M') exactly).
-    Whatever is left goes to the dense residue solver, and the collected
-    diagonal is merged into invariant factors (Havas, Holt & Rees,
-    "Recognizing badly presented Z-modules", Linear Algebra Appl. 192,
-    1993).
     """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
+    n_cols = len(matrix[0]) if matrix else 0
     rows = [{j: row[j] for j in compress(range(n_cols), row)} for row in matrix]
+    factors = _sparse_snf(rows)
+    return factors + [0] * (min(len(matrix), n_cols) - len(factors))
+
+
+def _sparse_snf(rows: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors, ascending, of the matrix whose rows are
+    given as ``{col: value}`` dicts without zero values; the rows are
+    consumed.
+
+    Elimination keeps a column -> rows index and is driven by worklists
+    of touched rows: first unit pivots, then divisor pivots (an entry
+    dividing every other entry of its row and column, which splits off
+    diag(d, M') exactly).  When a sweep of every live row finds neither,
+    the entry d of least absolute value reduces its column, or, if it is
+    alone there, its row, modulo d; each such step shrinks an entry or
+    empties a column, so the loop ends.  The collected diagonal is merged
+    into invariant factors (Havas, Holt & Rees, "Recognizing badly
+    presented Z-modules", Linear Algebra Appl. 192, 1993).
+    """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
     diag: list[int] = []
 
-    def eliminate(p: int, c: int) -> list[int]:
-        """Clear column c with pivot row p, whose entry there divides every
-        entry of row p and of column c; drop both.  Returns the touched rows."""
+    def clear_column(p: int, c: int) -> list[int]:
+        """Subtract multiples of row p from the other rows of column c,
+        leaving each entry there its remainder mod row p's.  Returns the
+        touched rows."""
         prow = rows[p]
         d = prow[c]
         touched = [r for r in cols[c] if r != p]
@@ -71,11 +84,32 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
                 else:
                     del row[j]
                     cols[j].discard(r)
+        return touched
+
+    def eliminate(p: int, c: int) -> list[int]:
+        """Clear column c with pivot row p, whose entry there divides every
+        entry of row p and of column c; drop both.  Returns the touched rows."""
+        touched = clear_column(p, c)
+        prow = rows[p]
         for j in prow:
             cols[j].discard(p)
+        diag.append(abs(prow[c]))
         rows[p] = {}
-        diag.append(abs(d))
         return touched
+
+    def reduce_row(p: int, c: int) -> list[int]:
+        """Reduce row p modulo its entry in column c, which holds no other
+        row, so the column operations change row p alone."""
+        prow = rows[p]
+        d = prow[c]
+        for j in [j for j in prow if j != c]:
+            x = prow[j] % d
+            if x:
+                prow[j] = x
+            else:
+                del prow[j]
+                cols[j].discard(p)
+        return [p]
 
     def unit_pivot(p: int) -> int | None:
         units = [j for j, v in rows[p].items() if v == 1 or v == -1]
@@ -92,7 +126,7 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
         ]
         return min(fits, key=lambda j: len(cols[j])) if fits else None
 
-    unit_queue = deque(range(n_rows))
+    unit_queue = deque(range(len(rows)))
     divisor_queue: deque[int] = deque()
     full_sweep = False
     while True:
@@ -108,25 +142,23 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
             c = divisor_pivot(p)
             if c is not None:
                 touched = eliminate(p, c)
-                unit_queue.extend(touched)
-                divisor_queue.extend(touched)
-                full_sweep = False
                 break
         else:
             # Dropping a pivot row can free a divisor pivot in a row that was
-            # not touched, so sweep every row once before giving up.
-            if full_sweep:
+            # not touched, so sweep every row once before reducing.
+            if not full_sweep:
+                divisor_queue.extend(i for i, row in enumerate(rows) if row)
+                full_sweep = True
+                continue
+            live = [(abs(v), p, c) for p, row in enumerate(rows) for c, v in row.items()]
+            if not live:
                 break
-            divisor_queue.extend(i for i, row in enumerate(rows) if row)
-            full_sweep = True
-
-    live = [row for row in rows if row]
-    if live:
-        live_cols = sorted(j for j, members in cols.items() if members)
-        residue = [[row.get(j, 0) for j in live_cols] for row in live]
-        diag.extend(d for d in _dense_snf(residue) if d)
-    factors = _invariant_factors(diag)
-    return factors + [0] * (min(n_rows, n_cols) - len(factors))
+            _, p, c = min(live)
+            touched = clear_column(p, c) if len(cols[c]) > 1 else reduce_row(p, c)
+        unit_queue.extend(touched)
+        divisor_queue.extend(touched)
+        full_sweep = False
+    return _invariant_factors(diag)
 
 
 def _invariant_factors(diag: list[int]) -> list[int]:
@@ -170,64 +202,6 @@ def _coprime_base(values: list[int]) -> list[int]:
         else:
             base.append(x)
     return base
-
-
-def _dense_snf(m: list[list[int]]) -> list[int]:
-    """Smith normal form diagonal of a dense matrix, which it overwrites:
-    pivot on an entry of least absolute value in the whole remaining block."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag: list[int] = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot of minimal absolute value
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        # clear the pivot row and column
-        dirty = False
-        p = m[top][top]
-        for i in range(top + 1, rows):
-            q = m[i][top] // p
-            if q:
-                for j in range(top, cols):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = m[top][j] // p
-            if q:
-                for i in range(top, rows):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue  # remainders left; pick a smaller pivot next pass
-        # ensure divisibility of the remaining block by the pivot
-        adjusted = False
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % p:
-                    for jj in range(top, cols):
-                        m[top][jj] += m[i][jj]
-                    adjusted = True
-                    break
-            if adjusted:
-                break
-        if adjusted:
-            continue
-        diag.append(abs(p))
-        top += 1
-    diag.extend([0] * (min(rows, cols) - len(diag)))
-    return diag
 
 
 def invariants_from_diagonal(diag: list[int], n_generators: int) -> AbelianInvariants:

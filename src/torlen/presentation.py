@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .abelian import AbelianInvariants, invariants_from_diagonal, smith_normal_form
+from .abelian import AbelianInvariants, _sparse_snf, invariants_from_diagonal
 from .consequences import closure_ball
 from .words import (
     Word,
@@ -304,20 +304,17 @@ def _relabel(p, rotated, order, drop_unused, used_sets):
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariants of the abelianized group, via exact integer Smith
-    normal form of the relator exponent-sum matrix."""
-    if not p.generators:
-        return AbelianInvariants((), 0)
+    normal form of the relator exponent sums, one ``{col: sum}`` row per
+    relator."""
     index = {g: i for i, g in enumerate(p.generators)}
-    matrix = []
+    rows = []
     for r in p.relators:
-        row = [0] * len(p.generators)
+        row: dict[int, int] = {}
         for g, s in r.letters:
-            row[index[g]] += s
-        matrix.append(row)
-    if not matrix:
-        return AbelianInvariants((), len(p.generators))
-    diag = smith_normal_form(matrix)
-    return invariants_from_diagonal(diag, len(p.generators))
+            j = index[g]
+            row[j] = row.get(j, 0) + s
+        rows.append({j: v for j, v in row.items() if v})
+    return invariants_from_diagonal(_sparse_snf(rows), len(p.generators))
 
 
 # -- serialization --------------------------------------------------------

@@ -258,7 +258,14 @@ class TorsionCertificate:
 
     def verify(self) -> bool:
         """Recheck the conjugate product by free reduction, here and in
-        every supporting certificate."""
+        every supporting certificate.
+
+        Only the product is checked, not that each factor's relator is a
+        base relator or one of ``adjoined``: a forged certificate for
+        ``z`` whose one factor is ``z`` itself, with empty conjugator,
+        passes.  The presentation-aware checker that closes this is
+        planned under ROADMAP item 1.
+        """
         if self._verified is None:
             words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}

@@ -61,10 +61,15 @@ def snf_oracle(matrix):
         ([[2, 4], [6, 8]], [2, 4]),
         ([[3]], [3]),
         ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+        # no unit or divisor pivot: the least entry reduces its row ...
+        ([[6, 4]], [2]),
+        # ... or its column
+        ([[6], [4]], [2]),
+        ([[6, 10], [10, 6]], [2, 32]),
     ],
 )
 def test_snf_known_values(matrix, expected):
-    assert smith_normal_form(matrix) == expected
+    assert smith_normal_form(matrix) == expected == snf_oracle(matrix)
 
 
 def test_snf_divisibility_chain_holds():
@@ -153,7 +158,7 @@ def test_abelianization_matches_minor_gcd_oracle(p):
     assert abelianization(p) == invariants_from_diagonal(diag, len(p.generators))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_pn_abelianization_closed_form(n):
     """P_n abelianizes to 2^(n-1-k) copies of Z/3^k for k = 1..n-1, then
     one Z/3^n."""

@@ -97,6 +97,35 @@ def test_ab_on_p12(tmp_path, capsys):
     assert json.loads(out) == {"torsion": torsion, "free_rank": 0}
 
 
+# Runs ``ab`` on the file named by argv[1], then prints the exit code and
+# the peak RSS in KiB of this process alone.  That is Linux's VmHWM, not
+# ``ru_maxrss``: the latter survives exec, so a child started from the
+# test process would report at least the test process's own peak.
+AB_RSS_PROBE = """
+import sys
+from torlen.cli import main
+
+code = main(["ab", sys.argv[1]])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def test_ab_on_p14_stays_small(tmp_path, capsys):
+    path = tmp_path / "p14.txt"
+    assert run(capsys, "gen", "pn", "--n", "14", "--out", str(path))[0] == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", AB_RSS_PROBE, str(path)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    code, maxrss_kib = map(int, done.stdout.splitlines()[-1].split())
+    assert code == 0
+    assert maxrss_kib < 100 * 1024
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text("rel: y\n")
