@@ -258,14 +258,10 @@ class TorsionCertificate:
 
     def verify(self) -> bool:
         """Recheck the conjugate product by free reduction, here and in
-        every supporting certificate.
-
-        Only the product is checked, not that each factor's relator is a
-        base relator or one of ``adjoined``: a forged certificate for
-        ``z`` whose one factor is ``z`` itself, with empty conjugator,
-        passes.  The presentation-aware checker that closes this is
-        planned under ROADMAP item 1.
-        """
+        every supporting certificate.  Only the product: no relator is
+        checked against a presentation, so a forged certificate for ``z``
+        whose one factor is ``z`` itself passes (ROADMAP item 1 plans a
+        presentation-aware checker)."""
         if self._verified is None:
             words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}

@@ -121,9 +121,9 @@ def test_ab_on_p14_stays_small(tmp_path, capsys):
         [sys.executable, "-c", AB_RSS_PROBE, str(path)], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
-    code, maxrss_kib = map(int, done.stdout.splitlines()[-1].split())
+    code, peak_kib = map(int, done.stdout.splitlines()[-1].split())
     assert code == 0
-    assert maxrss_kib < 100 * 1024
+    assert peak_kib < 100 * 1024
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
