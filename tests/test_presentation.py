@@ -15,6 +15,7 @@ from torlen.presentation import (
     adjoin_relators,
     canonicalize,
     eliminate_generator,
+    eliminate_generator_with_image,
     free_product,
     hnn_presentation,
     kill_generators,
@@ -260,6 +261,57 @@ EMITTERS = {
 def test_emitted_presentations_round_trip_property(emitter, data):
     p = EMITTERS[emitter](data)
     assert parse_presentation(serialize_presentation(p)) == p
+
+
+def _killed(data):
+    p = data.draw(clashing_presentations())
+    return kill_generators(p, data.draw(st.sets(st.sampled_from(p.generators))))
+
+
+def _eliminated(data):
+    """Adjoin ``g w`` (``w`` free of ``g``) to a drawn presentation and
+    eliminate ``g`` through it."""
+    p = data.draw(clashing_presentations())
+    g = data.draw(st.sampled_from(p.generators))
+    others = [h for h in p.generators if h != g]
+    letter = st.tuples(st.sampled_from(others or [g]), st.sampled_from((1, -1)))
+    rest = data.draw(st.lists(letter, max_size=3 if others else 0))
+    p = adjoin_relators(p, [Word(((g, 1), *rest))])
+    return eliminate_generator_with_image(p, g, len(p.relators) - 1)[0]
+
+
+def _parsed(data):
+    """A drawn presentation's file plus relator lines that need not be
+    reduced."""
+    p = data.draw(clashing_presentations())
+    token = st.sampled_from([g + mark for g in p.generators for mark in ("", "^-1")])
+    lines = data.draw(st.lists(st.lists(token, max_size=4), max_size=2))
+    return parse_presentation(
+        serialize_presentation(p) + "".join("rel: " + " ".join(r) + "\n" for r in lines)
+    )
+
+
+DERIVED = {
+    **EMITTERS,
+    "drawn": lambda data: data.draw(clashing_presentations()),
+    "kill": _killed,
+    "eliminate": _eliminated,
+    "parse": _parsed,
+    "canonicalize": lambda data: canonicalize(
+        data.draw(clashing_presentations()), drop_unused=data.draw(st.booleans())
+    ),
+}
+
+
+@pytest.mark.parametrize("deriver", sorted(DERIVED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_derived_presentations_pass_the_public_check(deriver, data):
+    q = DERIVED[deriver](data)
+    assert isinstance(q.generators, tuple) and isinstance(q.relators, tuple)
+    assert Presentation(q.generators, q.relators) == q
+    for r in q.relators:
+        assert Word(r.letters) == r
 
 
 def test_parse_errors_carry_position():

@@ -9,11 +9,13 @@ from torlen.words import (
     cyclic_split_ints,
     free_reduce,
     fresh_symbol,
+    ints_to_word,
     least_rotation,
     multiply_ints,
     reduce_ints,
     invert_ints,
     substitute,
+    word_to_ints,
 )
 
 SYMS = ("a", "b", "c")
@@ -101,6 +103,23 @@ def test_substitute_commutes_with_reduction(w):
 def test_substitute_rejects_chained_substitution():
     with pytest.raises(WordError):
         substitute(Word.from_text("a"), {"a": Word.from_text("b"), "b": Word.from_text("a")})
+
+
+@given(words, words, st.integers(min_value=-3, max_value=3))
+def test_derived_words_pass_the_public_check(u, v, n):
+    index = {g: i for i, g in enumerate(SYMS)}
+    derived = [
+        free_reduce(u),
+        u.inverse(),
+        u * v,
+        u**n,
+        *cyclic_reduce(u),
+        substitute(u, {"a": Word.from_text("c c"), "b": Word.from_text("c^-1")}),
+        ints_to_word(word_to_ints(u, index), SYMS),
+    ]
+    for d in derived:
+        assert isinstance(d.letters, tuple)
+        assert Word(d.letters) == d
 
 
 @given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=10))
