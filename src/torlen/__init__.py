@@ -42,7 +42,6 @@ from .presentation import (
     abelianization,
     adjoin_relators,
     canonicalize,
-    eliminate_generator,
     eliminate_generator_with_image,
     free_product,
     hnn_presentation,

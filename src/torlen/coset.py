@@ -152,10 +152,11 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     index = {g: i for i, g in enumerate(p.generators)}
-    subgroup = [free_reduce(w) for w in subgroup_generators]
-    for w in subgroup:
+    subgroup = []
+    for w in subgroup_generators:
         if extra := w.symbols() - index.keys():
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
+        subgroup.append(free_reduce(w))
     if not p.generators:
         return CosetTable("complete", 1, None, p.generators, ((),))
 

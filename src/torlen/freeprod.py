@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .words import Word, check_symbol
+from .words import Word, _word, check_symbol
 
 INFINITE = None  # order marker for infinite cyclic factors
 
@@ -93,7 +93,7 @@ class NormalForm:
 def _spell(spec: CyclicFactorSpec, syllables) -> Word:
     """The (factor, exponent) syllables written out letter by letter."""
     letters = ((spec.generator(i), 1 if e > 0 else -1) for i, e in syllables for _ in range(abs(e)))
-    return Word(tuple(letters))
+    return _word(tuple(letters))
 
 
 def _normalize_exponent(exponent: int, order: Optional[int]) -> int:

@@ -3,6 +3,9 @@
 A Presentation is an ordered generator list plus a list of relator
 words.  Relators are freely reduced on construction; duplicates are
 kept (canonicalize is the only deduplicating operation).
+
+``Presentation(...)`` and ``parse_presentation`` check their input;
+moves whose output is valid by construction build it unchecked.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .abelian import AbelianInvariants, _sparse_snf, invariants_from_diagonal
 from .consequences import closure_ball
 from .words import (
     Word,
+    _word,
     check_symbol,
     cyclic_reduce,
     free_reduce,
@@ -49,21 +53,24 @@ class Presentation:
             if g in seen:
                 raise PresentationError(f"duplicate generator {g!r}")
             seen.add(g)
-        reduced = tuple(free_reduce(r) for r in self.relators)
-        for r in reduced:
-            extra = r.symbols() - seen
-            if extra:
+        for r in self.relators:
+            if extra := r.symbols() - seen:
                 raise PresentationError(f"relator mentions undeclared generator(s) {sorted(extra)}")
-        object.__setattr__(self, "relators", reduced)
-
-    @classmethod
-    def build(cls, generators: Sequence[str], relators: Iterable[Word] = ()) -> "Presentation":
-        return cls(tuple(generators), tuple(relators))
+        object.__setattr__(self, "relators", tuple(free_reduce(r) for r in self.relators))
 
     def __str__(self) -> str:
         gens = " ".join(self.generators) if self.generators else "-"
         rels = ", ".join(str(r) for r in self.relators) if self.relators else "-"
         return f"< {gens} | {rels} >"
+
+
+def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
+    """A Presentation from distinct checked generators and reduced
+    relators over them, built without ``Presentation``'s checks."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "generators", generators)
+    object.__setattr__(p, "relators", relators)
+    return p
 
 
 @dataclass(frozen=True)
@@ -136,22 +143,15 @@ def free_product(p: Presentation, q: Presentation) -> FreeProductResult:
         rename[g] = new
         taken.add(new)
         gens.append(new)
-    q_rels = tuple(
-        Word(tuple((rename[g], s) for g, s in r.letters)) for r in q.relators
-    )
-    out = Presentation(tuple(gens), p.relators + q_rels)
+    q_rels = tuple(_word(tuple((rename[g], s) for g, s in r.letters)) for r in q.relators)
+    out = _presentation(tuple(gens), p.relators + q_rels)
     left = PresentationMorphism(p, out, {g: Word.gen(g) for g in p.generators})
     right = PresentationMorphism(q, out, {g: Word.gen(rename[g]) for g in q.generators})
     return FreeProductResult(out, left, right)
 
 
 def adjoin_relators(p: Presentation, new_relators: Iterable[Word]) -> Presentation:
-    new = tuple(new_relators)
-    for r in new:
-        extra = r.symbols() - set(p.generators)
-        if extra:
-            raise PresentationError(f"relator mentions undeclared generator(s) {sorted(extra)}")
-    return Presentation(p.generators, p.relators + new)
+    return Presentation(p.generators, p.relators + tuple(new_relators))
 
 
 def hnn_presentation(
@@ -161,10 +161,8 @@ def hnn_presentation(
     check_symbol(stable)
     if stable in p.generators:
         raise PresentationError(f"stable symbol {stable!r} clashes with a generator")
-    for u, v in pairs:
-        extra = (u.symbols() | v.symbols()) - set(p.generators)
-        if extra:
-            raise PresentationError(f"pair word mentions undeclared generator(s) {sorted(extra)}")
+    if any(stable in w.symbols() for pair in pairs for w in pair):
+        raise PresentationError(f"pair word mentions the stable symbol {stable!r}")
     t = Word.gen(stable)
     new_rels = tuple(t.inverse() * u * t * v.inverse() for u, v in pairs)
     return Presentation(p.generators + (stable,), p.relators + new_rels)
@@ -180,23 +178,19 @@ def kill_generators(p: Presentation, victims: Iterable[str]) -> Presentation:
     gens = tuple(g for g in p.generators if g not in victims)
     rels = []
     for r in p.relators:
-        new = free_reduce(Word(tuple(l for l in r.letters if l[0] not in victims)))
+        new = free_reduce(_word(tuple(l for l in r.letters if l[0] not in victims)))
         if new:
             rels.append(new)
-    return Presentation(gens, tuple(rels))
-
-
-def eliminate_generator(p: Presentation, g: str, defining_relator_index: int) -> Presentation:
-    """Tietze elimination: the indicated relator must contain exactly
-    one occurrence of g, so it rearranges to g = w; substitute w for g
-    everywhere and drop the defining relator."""
-    pres, _ = eliminate_generator_with_image(p, g, defining_relator_index)
-    return pres
+    return _presentation(gens, tuple(rels))
 
 
 def eliminate_generator_with_image(
     p: Presentation, g: str, defining_relator_index: int
 ) -> tuple[Presentation, Word]:
+    """Tietze elimination: the indicated relator must contain exactly
+    one occurrence of g, so it rearranges to g = w; substitute w for g
+    everywhere and drop the defining relator.  Returns the new
+    presentation and the image w of g."""
     if g not in p.generators:
         raise PresentationError(f"unknown generator {g!r}")
     try:
@@ -210,8 +204,8 @@ def eliminate_generator_with_image(
         )
     i = positions[0]
     sign = relator.letters[i][1]
-    before = Word(relator.letters[:i])
-    after = Word(relator.letters[i + 1 :])
+    before = _word(relator.letters[:i])
+    after = _word(relator.letters[i + 1 :])
     # relator = before * g^sign * after = e
     if sign == 1:
         image = free_reduce(before.inverse() * after.inverse())
@@ -224,7 +218,7 @@ def eliminate_generator_with_image(
         for j, r in enumerate(p.relators)
         if j != defining_relator_index
     )
-    return Presentation(gens, rels), image
+    return _presentation(gens, rels), image
 
 
 # -- canonical form -------------------------------------------------------
@@ -258,7 +252,7 @@ def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
             codes.append(least_rotation(code, tuple(x ^ 1 for x in reversed(code))))
         codes.sort(key=lambda code: (len(code), code))
         rotated = [
-            Word(tuple((by_order[x >> 1], -1 if x & 1 else 1) for x in code))
+            _word(tuple((by_order[x >> 1], -1 if x & 1 else 1) for x in code))
             for code in codes
         ]
         new_order: dict[str, int] = {}
@@ -292,11 +286,11 @@ def _relabel(p, rotated, order, drop_unused, used_sets):
     rels = []
     seen = set()
     for w in rotated:
-        new = Word(tuple((names[g], s) for g, s in w.letters))
+        new = _word(tuple((names[g], s) for g, s in w.letters))
         if new.letters not in seen:
             seen.add(new.letters)
             rels.append(new)
-    return Presentation(tuple(names[g] for g in kept), tuple(rels))
+    return _presentation(tuple(names[g] for g in kept), tuple(rels))
 
 
 # -- abelianization -------------------------------------------------------
@@ -362,14 +356,14 @@ def parse_presentation(text: str) -> Presentation:
                 if name not in declared:
                     raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
                 letters.append((name, sign))
-            relators.append(Word(tuple(letters)))
+            relators.append(free_reduce(_word(tuple(letters))))
         else:
             raise PresentationSyntaxError(f"unrecognized line {line!r}", lineno)
     if generators is None:
         if relators:
             raise PresentationSyntaxError("missing gens: line", 1)
         generators = []
-    return Presentation(tuple(generators), tuple(relators))
+    return _presentation(tuple(generators), tuple(relators))
 
 
 def serialize_presentation(p: Presentation) -> str:

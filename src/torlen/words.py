@@ -4,6 +4,9 @@ A word is an immutable sequence of letters; a letter is a generator name
 together with a sign.  Nothing here reduces silently: callers ask for
 ``free_reduce`` / ``cyclic_reduce`` explicitly, and constructors that
 promise reduced output (e.g. Presentation) call them eagerly.
+
+Letters are checked where they enter (``Word(...)``, ``gen``,
+``from_text``); words derived from checked words are built unchecked.
 """
 
 from __future__ import annotations
@@ -64,15 +67,15 @@ class Word:
 
     @classmethod
     def empty(cls) -> "Word":
-        return cls(())
+        return _word(())
 
     @classmethod
     def gen(cls, name: str, exponent: int = 1) -> "Word":
         """The word name^exponent (no reduction needed)."""
         check_symbol(name)
         if exponent >= 0:
-            return cls(((name, 1),) * exponent)
-        return cls(((name, -1),) * (-exponent))
+            return _word(((name, 1),) * exponent)
+        return _word(((name, -1),) * (-exponent))
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -83,7 +86,7 @@ class Word:
                 letters.append((check_symbol(tok[: -len(INVERSE_MARKER)]), -1))
             else:
                 letters.append((check_symbol(tok), 1))
-        return cls(tuple(letters))
+        return _word(tuple(letters))
 
     # -- basic protocol -----------------------------------------------
 
@@ -98,15 +101,15 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         """Concatenation.  Does *not* freely reduce."""
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        return _word(self.letters * n)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def to_text(self) -> str:
         return " ".join(g if s == 1 else g + INVERSE_MARKER for g, s in self.letters)
@@ -118,6 +121,13 @@ class Word:
         return {g for g, _ in self.letters}
 
 
+def _word(letters: tuple[Letter, ...]) -> Word:
+    """A Word over already checked letters, built without ``Word``'s check."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced form of ``w`` (stack cancellation)."""
     stack: list[Letter] = []
@@ -126,23 +136,17 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(tuple(stack))
+    return _word(tuple(stack))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, conjugator) with ``w`` freely equal to
     conjugator * core * conjugator^-1 and core cyclically reduced."""
-    reduced = free_reduce(w)
-    letters = list(reduced.letters)
-    prefix: list[Letter] = []
-    while len(letters) >= 2:
-        first, last = letters[0], letters[-1]
-        if first[0] == last[0] and first[1] == -last[1]:
-            prefix.append(first)
-            letters = letters[1:-1]
-        else:
-            break
-    return Word(tuple(letters)), Word(tuple(prefix))
+    letters = free_reduce(w).letters
+    n, k = len(letters), 0
+    while n - 2 * k >= 2 and letters[k] == (letters[n - 1 - k][0], -letters[n - 1 - k][1]):
+        k += 1
+    return _word(letters[k : n - k]), _word(letters[:k])
 
 
 def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
@@ -166,7 +170,7 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
             out.extend(image.letters)
         else:
             out.append((g, s))
-    return free_reduce(Word(tuple(out)))
+    return free_reduce(_word(tuple(out)))
 
 
 def fresh_symbol(stem: str, taken: set[str]) -> str:
@@ -194,7 +198,9 @@ def word_to_ints(w: Word, index: Mapping[str, int]) -> IntWord:
 
 
 def ints_to_word(iw: Iterable[int], names: list[str] | tuple[str, ...]) -> Word:
-    return Word(tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in iw))
+    """Unchecked: every caller passes a presentation's generators or the
+    symbols of checked words as ``names``."""
+    return _word(tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in iw))
 
 
 def reduce_ints(iw: Iterable[int]) -> IntWord:

@@ -148,7 +148,7 @@ def small_presentations(draw):
         return u + x + [(g, -s) for g, s in reversed(u)]
 
     relators = [Word(tuple(relator())) for _ in range(draw(st.integers(0, 4)))]
-    return Presentation.build(gens, relators)
+    return Presentation(tuple(gens), tuple(relators))
 
 
 @settings(max_examples=300, deadline=None)

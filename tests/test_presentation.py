@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants
 from torlen.constructions import build_chain, build_ln, build_pn, build_qn, build_tgen
+from torlen.coset import todd_coxeter
 from torlen.presentation import (
     Presentation,
     PresentationError,
@@ -14,7 +15,6 @@ from torlen.presentation import (
     abelianization,
     adjoin_relators,
     canonicalize,
-    eliminate_generator,
     eliminate_generator_with_image,
     free_product,
     hnn_presentation,
@@ -22,6 +22,7 @@ from torlen.presentation import (
     parse_presentation,
     serialize_presentation,
 )
+from torlen.stallings import build_subgroup_graph
 from torlen.words import Word
 
 
@@ -90,6 +91,29 @@ def test_hnn_empty_pairs_and_clash():
     assert hnn_presentation(p, [], "t") == P("a t", "a a")
     with pytest.raises(PresentationError):
         hnn_presentation(p, [], "a")
+    with pytest.raises(PresentationError):
+        hnn_presentation(p, [(Word.gen("t"), Word.gen("a"))], "t")
+
+
+# An undeclared letter is rejected even when it cancels: every entry
+# point checks the words it is given before reducing them.
+CANCELLING = Word.from_text("y y^-1")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: Presentation(("x",), (CANCELLING,)),
+        lambda: todd_coxeter(P("x", "x x"), [CANCELLING]),
+        lambda: adjoin_relators(P("x"), [CANCELLING]),
+        lambda: hnn_presentation(P("x"), [(CANCELLING, Word.gen("x"))], "t"),
+        lambda: build_subgroup_graph(("x",), [CANCELLING]),
+    ],
+    ids=["Presentation", "todd_coxeter", "adjoin_relators", "hnn_presentation", "fold"],
+)
+def test_cancelling_undeclared_letters_are_rejected(entry):
+    with pytest.raises(ValueError, match="undeclared|non-ambient"):
+        entry()
 
 
 # -- kill / eliminate ------------------------------------------------------
@@ -116,15 +140,15 @@ def test_kill_order_independence():
 
 def test_eliminate_generator():
     p = P("g h", "g h^-1")
-    assert eliminate_generator(p, "g", 0) == P("h")
+    assert eliminate_generator_with_image(p, "g", 0)[0] == P("h")
     q = P("a b t", "t^-1 a t b^-1", "b b b")
-    out = eliminate_generator(q, "b", 0)
+    out = eliminate_generator_with_image(q, "b", 0)[0]
     assert out == P("a t", "t^-1 a t t^-1 a t t^-1 a t")
 
 
 def test_eliminate_requires_single_occurrence():
     with pytest.raises(PresentationError):
-        eliminate_generator(P("x", "x x"), "x", 0)
+        eliminate_generator_with_image(P("x", "x x"), "x", 0)
 
 
 # -- canonicalize ----------------------------------------------------------
@@ -191,7 +215,7 @@ def test_abelianization_invariances():
 
 def test_abelianization_invariant_under_elimination():
     q = P("a b t", "t^-1 a t b^-1", "a a a")
-    assert abelianization(eliminate_generator(q, "b", 0)) == abelianization(q)
+    assert abelianization(eliminate_generator_with_image(q, "b", 0)[0]) == abelianization(q)
 
 
 # -- parse / serialize -----------------------------------------------------
