@@ -8,6 +8,7 @@ iterates Q_n, and truncated free-product chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .presentation import (
     Presentation,
@@ -31,16 +32,7 @@ def build_pjkl(j: int, k: int, l: int) -> Presentation:
 
 
 def _binary_strings(length: int) -> list[str]:
-    return ["".join(bits) for bits in _bit_product(length)]
-
-
-def _bit_product(length: int):
-    if length == 0:
-        yield ()
-        return
-    for prefix in _bit_product(length - 1):
-        yield prefix + ("0",)
-        yield prefix + ("1",)
+    return ["".join(bits) for bits in product("01", repeat=length)]
 
 
 def _pn_gen(eta: str) -> str:
