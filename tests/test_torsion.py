@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -201,6 +202,29 @@ def test_product_compatibility():
         assert torsion_length(combined).value == max(
             torsion_length(p).value, torsion_length(q).value
         )
+
+
+family_members = st.one_of(
+    st.integers(min_value=0, max_value=3).map(build_pn),
+    st.tuples(*[st.integers(min_value=2, max_value=6)] * 3).map(lambda jkl: build_pjkl(*jkl)),
+)
+
+
+def _product(presentations):
+    return reduce(lambda p, q: free_product(p, q).presentation, presentations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(family_members, min_size=2, max_size=3))
+def test_quotient_step_commutes_with_free_product(factors):
+    # repeated members clash on every name, so the right factors are
+    # renamed (x -> x_1, then x_2 for a third copy)
+    combined = torsion_quotient_step(_product(factors))
+    steps = [torsion_quotient_step(f) for f in factors]
+    assert canonicalize(combined.presentation) == canonicalize(
+        _product([s.presentation for s in steps])
+    )
+    assert len(combined.killed) == sum(len(s.killed) for s in steps)
 
 
 # -- certificates ----------------------------------------------------------
