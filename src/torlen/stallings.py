@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .words import (
     Word,
+    check_symbol,
     free_reduce,
     ints_to_word,
     invert_ints,
@@ -58,10 +59,11 @@ class SubgroupGraph:
 
     def __post_init__(self):
         # steps[vertex]: (label, sign) -> vertex reached, built once for
-        # membership; not a field, so == and hash compare the graph only
+        # membership; not a field, so == and hash compare the graph only.
+        # Labels are checked here, so free_basis can decode them unchecked.
         steps: list[dict[tuple[str, int], int]] = [{} for _ in range(self.n_vertices)]
         for u, g, v in self.edges:
-            steps[u][(g, 1)] = v
+            steps[u][(check_symbol(g), 1)] = v
             steps[v][(g, -1)] = u
         object.__setattr__(self, "_steps", steps)
 

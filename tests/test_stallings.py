@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torlen.stallings import (
+    SubgroupGraph,
     build_subgroup_graph,
     closure_members,
     free_basis,
@@ -11,7 +12,7 @@ from torlen.stallings import (
     membership,
     nielsen_reduce,
 )
-from torlen.words import Word, free_reduce
+from torlen.words import Word, WordError, free_reduce
 
 F2 = ("a", "b")
 
@@ -154,6 +155,12 @@ def test_rejects_non_ambient_symbols():
         build_subgroup_graph(("a",), [Word.from_text("b")])
     with pytest.raises(ValueError):
         build_subgroup_graph(("a",), [Word.from_text("a b b^-1")])
+
+
+def test_hand_built_graph_labels_are_checked():
+    # free_basis decodes the edge labels without checking them again
+    with pytest.raises(WordError):
+        free_basis(SubgroupGraph(("a b",), 0, 1, ((0, "a b", 0),)))
 
 
 # -- membership against the closure oracle, on words that need not be
