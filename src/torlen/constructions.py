@@ -13,6 +13,7 @@ from itertools import product
 from .presentation import (
     Presentation,
     PresentationError,
+    _presentation,
     eliminate_generator_with_image,
     hnn_presentation,
 )
@@ -163,13 +164,15 @@ def build_ln(p: Presentation) -> LnResult:
     r = len(basis)
     degenerate = r == 0
 
+    # x and y are fresh, the basis words reduced over the old names and
+    # each b^-i a b^i reduced over x, y: every relator is already reduced
     gens = p.generators + (x, y)
     relators = [Word.gen(x, 2), Word.gen(y, 3)]
     a = Word.from_text(f"{y} {x} {y}")
     b = Word.from_text(f"{x} {y} {x} {y} {x}")
     for i, t_word in enumerate(basis, start=1):
         relators.append(t_word * (b ** (-i) * a * b**i).inverse())
-    return LnResult(Presentation(gens, tuple(relators)), r, basis, degenerate)
+    return LnResult(_presentation(gens, tuple(relators)), r, basis, degenerate)
 
 
 def build_qn(n: int) -> Presentation:

@@ -1,13 +1,24 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
 Relator-tracing with immediate coincidence processing over a union-find
-of cosets; between scans, table entries name live cosets only.  An
-involution (a relator's cyclic core is x x or x^-1 x^-1) gets one column,
-which enforces that relator.  Completion certifies the index of the
-given subgroup; exceeding the coset budget only means "not certified
-finite at this budget", never "infinite".  Complete tables come back
-standardized (Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, ch. 5): their rows depend on the action only.
+of cosets; between scans, table entries name live cosets only.  The
+relators are prepared once, from their cyclic cores:
+
+- a generator killed by a one-letter relator gets one self-loop column,
+  filled as each coset is defined, and its letters are deleted from the
+  other relators;
+- an involution (a core x x or x^-1 x^-1) gets one column;
+- the relators left, freely and cyclically reduced over the columns,
+  are scanned shortest first (a stable sort, as ACE does), followed by
+  every other cyclic conjugate of each, once up to inversion (the
+  Mendelsohn variant of HLT).
+
+Each scanned loop is a relator of the same group, so completion still
+certifies the index of the given subgroup; exceeding the coset budget
+only means "not certified finite at this budget", never "infinite".
+Complete tables come back standardized (Holt, Eick & O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 5): their rows depend on the
+action only.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from typing import Iterable
 
 from .presentation import Presentation
 from .stallings import UnionFind
-from .words import Word, cyclic_split_ints, free_reduce, reduce_ints, word_to_ints
+from .words import Word, cyclic_split_ints, free_reduce, word_to_ints
 
 
 class BoundExceeded(Exception):
@@ -47,23 +58,31 @@ class CosetTable:
 
 class _Enumerator(UnionFind):
     """Coset table with one column per letter, where inv[x] is the column
-    of x's inverse letter (x itself for an involution).  Between calls
-    every entry of a live coset names a live coset, so scans read the
-    table directly; a coset is dead once the union-find has merged it
-    into a lesser one."""
+    of x's inverse letter (x itself for an involution).  Each of loops
+    is a killed generator's column, whose entry at every coset is that
+    coset.  Between calls every entry of a live coset names a live
+    coset, so scans read the table directly; a coset is dead once the
+    union-find has merged it into a lesser one."""
 
-    def __init__(self, inv: list[int], max_cosets: int):
+    def __init__(self, inv: list[int], loops: list[int], max_cosets: int):
         super().__init__(1)
         self.inv = inv
+        self.loops = loops
         self.max_cosets = max_cosets
-        self.table: list[list[int | None] | None] = [[None] * len(inv)]
+        row: list[int | None] = [None] * len(inv)
+        for c in loops:
+            row[c] = 0
+        self.table: list[list[int | None] | None] = [row]
         self.live_count = 1
 
     def define(self, a: int, x: int):
         if self.live_count >= self.max_cosets:
             raise BoundExceeded(self.max_cosets)
         b = self.add()
-        self.table.append([None] * len(self.inv))
+        row = [None] * len(self.inv)
+        for c in self.loops:
+            row[c] = b
+        self.table.append(row)
         self.live_count += 1
         self.table[a][x] = b
         self.table[b][self.inv[x]] = a
@@ -130,13 +149,64 @@ class _Enumerator(UnionFind):
             self.define(f, word[fi])
 
 
-def _involution(r: Word, index: dict[str, int]) -> int | None:
-    """The index of generator x when r's cyclic core is x x or x^-1 x^-1.
-    Free and cyclic reduction keep a word's length odd or even."""
-    if len(r) % 2:
-        return None
-    core = cyclic_split_ints(reduce_ints(word_to_ints(r, index)))[1]
-    return abs(core[0]) - 1 if len(core) == 2 and core[0] == core[1] else None
+def _prepare_relators(
+    p: Presentation, index: dict[str, int]
+) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
+    """Columns and scanned loops from the relators' cyclic cores.
+
+    Returns (col, inv, loops, words): col[2i] and col[2i+1] are the
+    columns of generator i and of its inverse, inv[c] is the inverse
+    column of c and loops lists the self-loop columns.  A generator whose
+    core is one letter is killed: it gets a self-loop column, so its
+    letters are deleted.  An involution (core x x or x^-1 x^-1) gets one
+    column, so x^-1 reads as x.  words are the other relators, freely
+    and cyclically reduced over the columns, shortest first, then every
+    other cyclic conjugate of each, once up to inversion."""
+    cores = [cyclic_split_ints(word_to_ints(r, index))[1] for r in p.relators]
+    killed = {abs(w[0]) - 1 for w in cores if len(w) == 1}
+    one_column = killed | {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
+    col, inv, loops = [], [], []
+    for i in range(len(index)):
+        c = len(inv)
+        if i in one_column:
+            col += [c, c]
+            inv.append(c)
+            if i in killed:
+                loops.append(c)
+        else:
+            col += [c, c + 1]
+            inv += [c + 1, c]
+
+    skip = set(loops)
+    words = []
+    for core in cores:
+        stack: list[int] = []
+        for x in core:
+            c = col[2 * abs(x) - 2 + (x < 0)]
+            if c in skip:
+                continue
+            if stack and stack[-1] == inv[c]:
+                stack.pop()
+            else:
+                stack.append(c)
+        lo, hi = 0, len(stack)
+        while hi - lo > 1 and stack[hi - 1] == inv[stack[lo]]:
+            lo, hi = lo + 1, hi - 1
+        if lo < hi:
+            words.append(tuple(stack[lo:hi]))
+    words.sort(key=len)
+
+    def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(inv[c] for c in reversed(w))
+
+    seen = {*words, *map(inverse, words)}
+    conjugates = []
+    for w in words:
+        for k in range(1, len(w)):
+            if (v := w[k:] + w[:k]) not in seen:
+                seen.update((v, inverse(v)))
+                conjugates.append(v)
+    return col, inv, loops, words + conjugates
 
 
 def todd_coxeter(
@@ -160,23 +230,17 @@ def todd_coxeter(
     if not p.generators:
         return CosetTable("complete", 1, None, p.generators, ((),))
 
-    squares = [_involution(r, index) for r in p.relators]
-    involutions = set(squares)
-    # col[2i], col[2i+1]: the table columns of generator i and its inverse
-    col, inv = [], []
-    for i in range(len(index)):
-        c = len(inv)
-        col += [c, c] if i in involutions else [c, c + 1]
-        inv += [c] if i in involutions else [c + 1, c]
+    col, inv, loops, words = _prepare_relators(p, index)
 
-    def letters(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        word = tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)
+    def with_back(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return word, tuple(map(inv.__getitem__, word))
 
-    relators = [letters(r) for r, x in zip(p.relators, squares) if r and x is None]
-    subgroup_words = [letters(w) for w in subgroup if w]
+    relators = [with_back(w) for w in words]
+    subgroup_words = [
+        with_back(tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)) for w in subgroup if w
+    ]
 
-    enum = _Enumerator(inv, max_cosets)
+    enum = _Enumerator(inv, loops, max_cosets)
     table, parent, scan, define = enum.table, enum.parent, enum.scan_and_fill, enum.define
     try:
         for w, back in subgroup_words:
@@ -242,8 +306,11 @@ def table_error(table: CosetTable, p: Presentation, subgroup: Iterable[Word] = (
     for w in subgroup:
         if w.symbols() - index.keys() or trace(0, w) != 0:
             return f"subgroup generator {w} does not fix coset 0"
-    seen, frontier = {0}, [0]
-    while frontier:
-        frontier = [d for c in frontier for d in rows[c] if d not in seen]
-        seen.update(frontier)
+    # a coset is marked as it is pushed, so each is pushed once
+    seen, stack = {0}, [0]
+    while stack:
+        for d in rows[stack.pop()]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
     return None if len(seen) == n else "some coset is not reached from coset 0"

@@ -72,9 +72,13 @@ class SubgroupGraph:
 
 
 def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> SubgroupGraph:
-    """Wedge of loops at the base, fully folded and core-pruned."""
+    """Wedge of loops at the base, fully folded and core-pruned.  The
+    ambient names must be valid generator names and distinct."""
     ambient = tuple(ambient)
-    index = {g: i for i, g in enumerate(ambient)}
+    index = {check_symbol(g): i for i, g in enumerate(ambient)}
+    if len(index) != len(ambient):
+        twice = sorted({g for g in ambient if ambient.count(g) > 1})
+        raise ValueError(f"ambient generator(s) {twice} named more than once")
     words = []
     for w in generators:
         try:

@@ -140,6 +140,13 @@ def test_fold(capsys):
     assert json.loads(out)["rank"] == 2
 
 
+@pytest.mark.parametrize("ambient", ["a a", "a b^-1"])
+def test_fold_rejects_duplicate_or_malformed_ambient_names(capsys, ambient):
+    code, out, err = run(capsys, "fold", "--ambient", ambient, "--gens", "a a")
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
 def test_nf(capsys):
     code, out, _ = run(capsys, "nf", "--spec", "factors: x:2 y:3", "x x y y y y x")
     assert code == 0

@@ -12,7 +12,7 @@ from torlen.coset import CosetTable, table_error, todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
 from torlen.words import Word, free_reduce
 
-from test_golden import coxeter_sym, standardize
+from test_golden import coxeter_sym, fibonacci, standardize
 
 
 def P(gens, *relators):
@@ -218,6 +218,17 @@ def test_table_error_finds_each_fault():
     assert "bound_exceeded" in table_error(todd_coxeter(P("a"), max_cosets=9), P("a"))
 
 
+@pytest.mark.parametrize(
+    "p, subgroup, max_cosets",
+    [(fibonacci(7), [], 200_000), (coxeter_sym(8), [Word.gen("s1")], 40_000)],
+    ids=["F(2,7)", "S_8/<s1>"],
+)
+def test_table_error_accepts_large_tables(p, subgroup, max_cosets):
+    # each coset enters the reachability search once: S_8/<s1> has 20,160
+    t = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    assert t.status == "complete" and table_error(t, p, subgroup) is None
+
+
 @st.composite
 def finite_abelian_presentations(draw):
     gens = GENERATORS[: draw(st.integers(1, 3))]
@@ -358,6 +369,13 @@ F25 = P("a0 a1 a2 a3 a4", *(f"a{i} a{(i + 1) % 5} a{(i + 2) % 5}^-1" for i in ra
 @example((TRIVIAL_BY_COINCIDENCE, []), False, 9)
 @example((F25, []), False, 91)
 @example((F25, []), False, 92)
+# a is killed, so its letters are deleted: b a b a^-1 b is scanned as b^3
+@example((P("a b", "a", "b a b a^-1 b"), [Word.from_text("a b")]), True, 4)
+# b a b^-1 becomes empty and is dropped
+@example((P("a b", "a", "b a b^-1", "b b b"), []), False, 4)
+# b is an involution: b^-1 reads as b, and b b cancels in a b b a b
+@example((P("a b", "b b", "a b a b^-1 a", "a a a a"), []), False, 9)
+@example((P("a b", "b b", "a b b a b", "a a a a"), []), False, 9)
 def test_matches_reference_enumerator(case, with_subgroup, max_cosets):
     p, subgroup = case
     subgroup = subgroup if with_subgroup else []
@@ -370,10 +388,12 @@ def test_matches_reference_enumerator(case, with_subgroup, max_cosets):
     # free to differ from the reference's, so a budget near the peak may
     # run out on one side only.  The side that completes must hold a
     # valid table, and both sides must agree at a budget above both peaks.
+    # A draw that completes within 2000 cosets on one side has needed up
+    # to 5000 on the other.
     done = t if t.status == "complete" else CosetTable(status, index, limit, p.generators, rows)
     assert table_error(done, p, subgroup) is None
-    t = todd_coxeter(p, subgroup, max_cosets=2000)
-    status, index, _, rows = reference_todd_coxeter(p, subgroup, 2000)
+    t = todd_coxeter(p, subgroup, max_cosets=10_000)
+    status, index, _, rows = reference_todd_coxeter(p, subgroup, 10_000)
     assert (t.status, t.index, t.rows) == (status, index, standardize(rows))
 
 
@@ -388,11 +408,12 @@ def test_named_inputs_keep_their_status():
     # The examples above, and perfbench's tc inputs at their budgets, keep
     # their status under any change of definition order: none may turn
     # from complete to bound_exceeded, nor S_8/<s1> or P_{2,2,2} complete.
-    assert todd_coxeter(TRIVIAL_BY_COINCIDENCE, max_cosets=8).status == "bound_exceeded"
-    assert todd_coxeter(TRIVIAL_BY_COINCIDENCE, max_cosets=9).index == 1
-    assert todd_coxeter(F25, max_cosets=91).status == "bound_exceeded"
-    assert todd_coxeter(F25, max_cosets=92).index == 11
+    assert todd_coxeter(TRIVIAL_BY_COINCIDENCE, max_cosets=4).status == "bound_exceeded"
+    assert todd_coxeter(TRIVIAL_BY_COINCIDENCE, max_cosets=5).index == 1
+    assert todd_coxeter(F25, max_cosets=58).status == "bound_exceeded"
+    assert todd_coxeter(F25, max_cosets=59).index == 11
     assert todd_coxeter(F25, max_cosets=200).index == 11
+    assert todd_coxeter(fibonacci(7), max_cosets=100_000).index == 29
     xy = [Word.gen("x"), Word.gen("y")]
     for j, k, l in product(range(2, 6), repeat=3):
         assert todd_coxeter(adjoin_relators(build_pjkl(j, k, l), xy), max_cosets=1000).index == l

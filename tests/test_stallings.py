@@ -157,6 +157,12 @@ def test_rejects_non_ambient_symbols():
         build_subgroup_graph(("a",), [Word.from_text("a b b^-1")])
 
 
+@pytest.mark.parametrize("ambient", [("x", "x"), ("a b", "x"), ("", "x"), ("x", "y^-1")])
+def test_rejects_duplicate_or_malformed_ambient_names(ambient):
+    with pytest.raises(ValueError):
+        build_subgroup_graph(ambient, [Word.from_text("x x")])
+
+
 def test_hand_built_graph_labels_are_checked():
     # free_basis decodes the edge labels without checking them again
     with pytest.raises(WordError):

@@ -9,7 +9,9 @@ The output file keeps every run's result line (the last line ``run.py``
 prints) under its workload, seed and side, with the number of passes the
 run timed (from the report on its first line) added as ``passes``, plus
 the Python version and CPU count of the machine.  An existing file is
-extended, so the workloads can be run one at a time.
+extended, so the workloads can be run one at a time.  When a run exits
+non-zero, the tool stops with that run's side, seed and the end of its
+stderr; the pairs before it are kept.
 
 ``peak_rss_mib`` is a maximum over the whole run, so a side that fits
 more passes can read higher with the same memory per pass; the pass
@@ -36,10 +38,14 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        raise SystemExit(f"{side} run of {workload} at seed {seed} exited with "
+                         f"{done.returncode}; the end of its stderr:\n{tail}")
     lines = done.stdout.strip().splitlines()
     run = json.loads(lines[-1])
     run["passes"] = json.loads(lines[0])["report"]["passes"]
@@ -67,7 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"workload": args.workload, "seed": seed, "first": sides[0]}
         for side in sides:
-            pair[side] = run_once(getattr(args, side).resolve(), args.workload, seed, args.seconds)
+            pair[side] = run_once(side, getattr(args, side).resolve(), args.workload, seed,
+                                  args.seconds)
         pairs.append(pair)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(seed, *(f"{m} {value(pair['parent'], m):.4g} -> {value(pair['change'], m):.4g}"
