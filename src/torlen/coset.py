@@ -152,16 +152,11 @@ class _Enumerator(UnionFind):
 def _prepare_relators(
     p: Presentation, index: dict[str, int]
 ) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
-    """Columns and scanned loops from the relators' cyclic cores.
-
-    Returns (col, inv, loops, words): col[2i] and col[2i+1] are the
-    columns of generator i and of its inverse, inv[c] is the inverse
-    column of c and loops lists the self-loop columns.  A generator whose
-    core is one letter is killed: it gets a self-loop column, so its
-    letters are deleted.  An involution (core x x or x^-1 x^-1) gets one
-    column, so x^-1 reads as x.  words are the other relators, freely
-    and cyclically reduced over the columns, shortest first, then every
-    other cyclic conjugate of each, once up to inversion."""
+    """Columns and scanned loops from the relators' cyclic cores, as the
+    module docstring describes.  Returns (col, inv, loops, words):
+    col[2i] and col[2i+1] are the columns of generator i and of its
+    inverse, inv[c] is the inverse column of c, loops lists the
+    self-loop columns and words are the loops to scan, in order."""
     cores = [cyclic_split_ints(word_to_ints(r, index))[1] for r in p.relators]
     killed = {abs(w[0]) - 1 for w in cores if len(w) == 1}
     one_column = killed | {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
