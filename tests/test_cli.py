@@ -283,6 +283,7 @@ def test_usage_errors_exit_1_and_leave_the_parser_usable(tmp_path, capsys):
             ["conjsep", "--spec", "factors: x:2 y:2", "--a", "x", "--b", "y", "--bounds", "-1 4"],
             "max_syllables and max_exponent must be >= 0",
         ),
+        (["torlen", "{path}", "--max-iter", "-1"], "max_iter must be >= 0"),
     ],
 )
 def test_nonsense_budgets_are_usage_errors(tmp_path, capsys, argv, message):

@@ -35,6 +35,9 @@ def test_presentation_validates():
         Presentation(("x", "x"), ())
     with pytest.raises(PresentationError):
         Presentation(("x",), (Word.from_text("y"),))
+    # a name the file format cannot read would not parse back
+    with pytest.raises(ValueError):
+        Presentation(("a-b",), ())
 
 
 def test_relators_stored_reduced():

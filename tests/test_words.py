@@ -39,7 +39,10 @@ def test_from_text_rejects_bad_tokens():
 
 @pytest.mark.parametrize(
     "letter",
-    [("", 1), ("x^", 1), ("a^-1", 1), ("x y", 1), ("x\t", 1), ("x", 0), ("x", 2), ("x", -2)],
+    [
+        ("", 1), ("x^", 1), ("a^-1", 1), ("x y", 1), ("x\t", 1), ("x", 0), ("x", 2), ("x", -2),
+        ("a-b", 1), ("x'", 1), ("é", 1),
+    ],
 )
 def test_direct_construction_rejects_bad_letters(letter):
     with pytest.raises(WordError):
