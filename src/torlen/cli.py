@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -37,16 +36,6 @@ from .words import Word, WordError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
-
-
-def budget_scale() -> int:
-    try:
-        scale = int(os.environ.get("TORLEN_BUDGET_SCALE", "1"))
-    except ValueError:
-        scale = 0
-    if scale < 1:
-        raise SystemExit("TORLEN_BUDGET_SCALE must be a positive integer")
-    return scale
 
 
 def _read_presentation(path: str):
@@ -119,14 +108,13 @@ def cmd_torlen(args) -> int:
 
 
 def cmd_torsion_search(args) -> int:
-    scale = budget_scale()
     p = _read_presentation(args.file)
     report = torsion_certificate_search(
         p,
         level=args.level,
-        word_bound=args.word_bound * scale,
-        exponent_bound=args.exponent_bound * scale,
-        consequence_budget=args.consequence_budget * scale,
+        word_bound=args.word_bound,
+        exponent_bound=args.exponent_bound,
+        consequence_budget=args.consequence_budget,
     )
     _emit_json(
         {
@@ -153,11 +141,9 @@ def cmd_torsion_search(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    scale = budget_scale()
     p = _read_presentation(args.file)
     subgroup = _split_words(args.subgroup) if args.subgroup else []
-    max_cosets = args.max if args.max is not None else 10_000 * scale
-    table = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    table = todd_coxeter(p, subgroup, max_cosets=args.max)
     _emit_json(table.to_json())
     return EXIT_OK if table.status == "complete" else EXIT_BUDGET
 
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc = sub.add_parser("tc", help="Todd-Coxeter coset enumeration")
     tc.add_argument("file")
     tc.add_argument("--subgroup", default="")
-    tc.add_argument("--max", type=int)
+    tc.add_argument("--max", type=int, default=10_000)
     tc.set_defaults(func=cmd_tc)
 
     fold = sub.add_parser("fold", help="Stallings folding of a subgroup")

@@ -33,9 +33,6 @@ class ClosureBall:
     """Certified consequences of ``relators`` discovered within budget."""
 
     relators: tuple[IntWord, ...]
-    max_len: int
-    max_depth: int
-    max_states: int
     parents: dict[IntWord, tuple[IntWord, tuple]] = field(default_factory=dict)
     exhausted: bool = True
 
@@ -111,7 +108,7 @@ def closure_ball(
     from the ball is then evidence only at the explored budget.
     """
     rels = tuple(reduce_ints(r) for r in relators)
-    ball = ClosureBall(rels, max_len, max_depth, max_states)
+    ball = ClosureBall(rels)
     ball.parents[()] = ((), ("root",))
     ins_moves = []
     for ridx, rel in enumerate(rels):

@@ -10,7 +10,6 @@ moves whose output is valid by construction build it unchecked.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,12 +17,13 @@ from .abelian import AbelianInvariants, _sparse_snf, invariants_from_diagonal
 from .consequences import closure_ball
 from .words import (
     Word,
+    WordError,
     _word,
     check_symbol,
+    cyclic_key,
     cyclic_reduce,
     free_reduce,
     fresh_symbol,
-    invert_ints,
     least_rotation,
     substitute,
     word_to_ints,
@@ -78,8 +78,8 @@ class PresentationMorphism:
     """A map of presentations given by generator images.
 
     ``relator_status`` records, per source relator, whether its image is
-    certified trivial in the target (by free/cyclic reduction, literal
-    match against a target relator, or bounded consequence search) or
+    certified trivial in the target (by free reduction, a cyclic match
+    against a target relator, or a consequence search of depth 6) or
     left "unverified".  Unverified relators are reported, never
     silently accepted.
     """
@@ -91,36 +91,29 @@ class PresentationMorphism:
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
 
-    def relator_status(self, search_budget: int = 6) -> tuple[str, ...]:
+    def relator_status(self) -> tuple[str, ...]:
         statuses = []
         index = {g: i for i, g in enumerate(self.target.generators)}
-
-        def cyclic_class(w: Word):
-            core = word_to_ints(cyclic_reduce(w)[0], index)
-            return least_rotation(core, invert_ints(core))
-
-        target_classes = {cyclic_class(r) for r in self.target.relators}
+        rel_ints = [word_to_ints(t, index) for t in self.target.relators]
+        target_classes = {cyclic_key(t) for t in rel_ints}
         ball = None
         for r in self.source.relators:
-            image = free_reduce(self.apply(r))
+            image = word_to_ints(self.apply(r), index)
             if not image:
                 statuses.append("trivial")
                 continue
-            if cyclic_class(image) in target_classes:
+            if cyclic_key(image) in target_classes:
                 statuses.append("relator-match")
                 continue
             if ball is None:
-                rel_ints = [word_to_ints(t, index) for t in self.target.relators]
                 ball = closure_ball(
                     rel_ints,
                     len(self.target.generators),
-                    max_len=max(len(image), search_budget),
-                    max_depth=search_budget,
+                    max_len=max(len(image), 6),
+                    max_depth=6,
                     max_states=50_000,
                 )
-            statuses.append(
-                "consequence" if word_to_ints(image, index) in ball else "unverified"
-            )
+            statuses.append("consequence" if image in ball else "unverified")
         return tuple(statuses)
 
 
@@ -224,14 +217,13 @@ def eliminate_generator_with_image(
 # -- canonical form -------------------------------------------------------
 
 
-def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
+def canonicalize(p: Presentation) -> Presentation:
     """Deterministic structural normal form.
 
     Drops empty relators, cyclically reduces and canonically rotates
     each relator, sorts relators by (length, lex), relabels generators
     g0, g1, ... by first occurrence, and deduplicates relators.
-    Generators mentioned in no relator are kept by default (free
-    factors matter) unless ``drop_unused``.
+    Generators mentioned in no relator are kept (free factors matter).
     """
     cores = []
     for r in p.relators:
@@ -262,7 +254,7 @@ def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
                     new_order[name] = len(new_order)
         for g in sorted((g for g in p.generators if g not in new_order), key=lambda g: order[g]):
             new_order[g] = len(new_order)
-        out = _relabel(p, rotated, new_order, drop_unused, [w.symbols() for w in rotated])
+        out = _relabel(p, rotated, new_order)
         if new_order == order:
             return out  # fixed point; re-running reproduces this output
         outputs.append(out)
@@ -276,12 +268,8 @@ def canonicalize(p: Presentation, drop_unused: bool = False) -> Presentation:
     return min(outputs, key=lambda q: (q.generators, tuple(w.letters for w in q.relators)))
 
 
-def _relabel(p, rotated, order, drop_unused, used_sets):
-    used = set()
-    for s in used_sets:
-        used |= s
-    kept = [g for g in p.generators if g in used or not drop_unused]
-    kept.sort(key=lambda g: order[g])
+def _relabel(p, rotated, order):
+    kept = sorted(p.generators, key=order.__getitem__)
     names = {g: f"g{i}" for i, g in enumerate(kept)}
     rels = []
     seen = set()
@@ -313,8 +301,6 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 # -- serialization --------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
-
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format:
@@ -334,10 +320,12 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("duplicate gens: line", lineno)
             generators = []
             for tok in line[len("gens:") :].split():
-                if not _NAME_RE.fullmatch(tok):
+                try:
+                    check_symbol(tok)
+                except WordError:
                     raise PresentationSyntaxError(
                         f"bad generator token {tok!r}", lineno, raw.index(tok)
-                    )
+                    ) from None
                 if tok in declared:
                     raise PresentationSyntaxError(f"duplicate generator {tok!r}", lineno)
                 declared.add(tok)
@@ -351,9 +339,15 @@ def parse_presentation(text: str) -> Presentation:
                     name, sign = tok[:-3], -1
                 else:
                     name, sign = tok, 1
-                if not _NAME_RE.fullmatch(name):
-                    raise PresentationSyntaxError(f"bad token {tok!r}", lineno, raw.index(tok))
                 if name not in declared:
+                    # declared names passed check_symbol, so only here can
+                    # a token be malformed
+                    try:
+                        check_symbol(name)
+                    except WordError:
+                        raise PresentationSyntaxError(
+                            f"bad token {tok!r}", lineno, raw.index(tok)
+                        ) from None
                     raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
                 letters.append((name, sign))
             relators.append(free_reduce(_word(tuple(letters))))

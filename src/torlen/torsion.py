@@ -25,12 +25,10 @@ from .stallings import UnionFind
 from .words import (
     IntWord,
     Word,
+    cyclic_key,
     cyclic_reduce,
     cyclic_split_ints,
     ints_to_word,
-    invert_ints,
-    least_rotation,
-    reduce_ints,
     word_to_ints,
 )
 
@@ -218,6 +216,8 @@ def torsion_length(p: Presentation, max_iter: int = 32) -> TorsionLengthReport:
     certified torsion-free (inside the class, no visible torsion means
     torsion-free: a free product of free factors).
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     current = p
     trace = []
     all_sound = True
@@ -304,13 +304,6 @@ def _enumerate_reduced_int_words(n_gens: int, max_len: int):
         frontier = new
 
 
-def _cyclic_core_key(iw: IntWord) -> IntWord:
-    """Canonical representative of the cyclic conjugacy-and-inversion
-    class, used to deduplicate adjoined relators."""
-    _, core, _ = cyclic_split_ints(reduce_ints(iw))
-    return least_rotation(core, invert_ints(core))
-
-
 def torsion_certificate_search(
     p: Presentation,
     level: int = 1,
@@ -345,7 +338,7 @@ def torsion_certificate_search(
     exhaustive = True
     for current_level in range(1, level + 1):
         if current_level > 1:
-            existing = {_cyclic_core_key(r) for r in relators}
+            existing = {cyclic_key(r) for r in relators}
             adjoined = []
             for core, cert in sorted(by_core.items(), key=lambda kv: (len(kv[0]), kv[0])):
                 if core and len(core) <= adjoin_length_bound and core not in existing:
@@ -394,7 +387,7 @@ def torsion_certificate_search(
                     supporting,
                 )
                 found.append(cert)
-                core = _cyclic_core_key(w)
+                core = cyclic_key(w)
                 if core not in new_by_core:
                     new_by_core[core] = cert
                 break

@@ -7,10 +7,15 @@ promise reduced output (e.g. Presentation) call them eagerly.
 
 Letters are checked where they enter (``Word(...)``, ``gen``,
 ``from_text``); words derived from checked words are built unchecked.
+``check_symbol`` is the one rule for a generator name, the presentation
+file format's ``[A-Za-z0-9_.]+``, so every checked name serializes and
+parses back.  ``cyclic_key`` is the one canonical form of a cyclic int
+word up to inversion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -21,6 +26,8 @@ class WordError(ValueError):
     pass
 
 
+_SYMBOL_RE = re.compile(r"[A-Za-z0-9_.]+")
+
 # Names that have passed check_symbol.  The check depends on the name
 # alone, so a name is validated once per process; names that fail are
 # never added and raise on every attempt.
@@ -28,16 +35,12 @@ _ACCEPTED_SYMBOLS: set[str] = set()
 
 
 def check_symbol(name: str) -> str:
-    """Validate a generator name.  Names must be non-empty, free of
-    whitespace and must not contain the inverse marker."""
+    """Validate a generator name: one or more ASCII letters, digits,
+    ``_`` or ``.``, the names the presentation file format reads."""
     if name in _ACCEPTED_SYMBOLS:
         return name
-    if not name:
-        raise WordError("generator name must be non-empty")
-    if "^" in name:
-        raise WordError(f"generator name {name!r} contains '^' (reserved for {INVERSE_MARKER})")
-    if any(c.isspace() for c in name):
-        raise WordError(f"generator name {name!r} contains whitespace")
+    if not _SYMBOL_RE.fullmatch(name):
+        raise WordError(f"generator name {name!r} is not in [A-Za-z0-9_.]+")
     _ACCEPTED_SYMBOLS.add(name)
     return name
 
@@ -248,3 +251,11 @@ def least_rotation(w: tuple, w_inverse: tuple) -> tuple:
     if not w:
         return w
     return min(v[k:] + v[:k] for v in (w, w_inverse) for k in range(len(v)))
+
+
+def cyclic_key(iw: IntWord) -> IntWord:
+    """The least rotation of the cyclic core of the freely reduced ``iw``,
+    up to inversion: one key per conjugacy class of ``iw`` and its
+    inverse."""
+    _, core, _ = cyclic_split_ints(iw)
+    return least_rotation(core, invert_ints(core))

@@ -195,18 +195,6 @@ def test_tgen_and_ln(tmp_path, capsys):
     assert code == 0
 
 
-def test_budget_scale_env(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "p.txt"
-    path.write_text("gens: x\nrel: x x\n")
-    monkeypatch.setenv("TORLEN_BUDGET_SCALE", "2")
-    code, out, _ = run(capsys, "torsion-search", str(path))
-    assert code == 0
-    assert json.loads(out)["budgets"]["word_bound"] == 12
-    monkeypatch.setenv("TORLEN_BUDGET_SCALE", "zero")
-    with pytest.raises(SystemExit):
-        run(capsys, "torsion-search", str(path))
-
-
 def test_tampered_supporting_certificate_fails_its_dependents(tmp_path, capsys, monkeypatch):
     real_search = cli.torsion_certificate_search
     dependent = []

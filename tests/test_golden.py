@@ -14,7 +14,6 @@ and review the diff of tests/golden/cli.json line by line.
 
 import hashlib
 import json
-import os
 import random
 from pathlib import Path
 
@@ -286,8 +285,7 @@ def closure_digest() -> str:
     return hashlib.sha256(repr(balls).encode()).hexdigest()
 
 
-def test_cli_outputs_match_golden(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TORLEN_BUDGET_SCALE", raising=False)
+def test_cli_outputs_match_golden(tmp_path, capsys):
     expected = json.loads(GOLDEN.read_text())
     # Two passes: the CLI shares one parser between calls in a process,
     # and the second pass must not see anything the first one parsed.
@@ -333,7 +331,6 @@ if __name__ == "__main__":
     import io
     import tempfile
 
-    os.environ.pop("TORLEN_BUDGET_SCALE", None)
     buffer = io.StringIO()
 
     def capture() -> str:

@@ -13,6 +13,14 @@ extended, so the workloads can be run one at a time.  When a run exits
 non-zero, the tool stops with that run's side, seed and the end of its
 stderr; the pairs before it are kept.
 
+After the per-metric medians, each end-to-end metric gets a no-regression
+verdict against its relative ``bound`` in the change checkout's
+``BENCHMARK.json``: "within bound", "worse" (the change's median is worse
+than the parent's by more than the bound) or "unresolved" (the runs'
+spread, the wider of the two sides' interquartile ranges over the
+parent's median, exceeds the bound, and not every change run beats every
+parent run).
+
 ``peak_rss_mib`` is a maximum over the whole run, so a side that fits
 more passes can read higher with the same memory per pass; the pass
 counts, printed per pair and as medians, show when it does.
@@ -56,6 +64,26 @@ def value(run: dict, metric: str) -> float:
     return run["metrics"][metric]["value"]
 
 
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(before: list[float], after: list[float], bound: float, better: str) -> str:
+    """The no-regression verdict on one metric from its parent and change
+    runs, with ``bound`` relative to the parent's median."""
+    sign = 1 if better == "lower" else -1
+    if max(sign * a for a in after) < min(sign * b for b in before):
+        return "within bound"
+    base = abs(statistics.median(before))
+    if max(iqr(before), iqr(after)) > bound * base:
+        return "unresolved"
+    worse_by = sign * (statistics.median(after) - statistics.median(before))
+    return "worse" if worse_by > bound * base else "within bound"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -82,15 +110,20 @@ def main(argv: list[str] | None = None) -> int:
               f"passes {pair['parent']['passes']} -> {pair['change']['passes']}",
               f"failed {pair['parent']['failed']} -> {pair['change']['failed']}", flush=True)
 
+    bounds = {e["name"]: e for e in
+              json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
     mine = [p for p in pairs if p["workload"] == args.workload]
     for m in sorted(mine[0]["parent"]["metrics"]):
         before = [value(p["parent"], m) for p in mine]
         after = [value(p["change"], m) for p in mine]
-        q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (0, 0, 0)
         wins = sum(a < b for a, b in zip(after, before))
         print(f"{args.workload} {m}: median {statistics.median(before):.4g} -> "
-              f"{statistics.median(after):.4g}, parent IQR {q3 - q1:.3g}, "
+              f"{statistics.median(after):.4g}, parent IQR {iqr(before):.3g}, "
               f"change lower in {wins}/{len(mine)}")
+        if m in bounds:
+            print(f"{args.workload} {m}: "
+                  f"{verdict(before, after, bounds[m]['bound'], bounds[m]['better'])} "
+                  f"(bound {bounds[m]['bound']:.0%})")
     # runs recorded before pass counts were kept have none
     counted = [p for p in mine if "passes" in p["parent"] and "passes" in p["change"]]
     if counted:
