@@ -17,7 +17,7 @@ from .abelian import AbelianInvariants, _sparse_snf, invariants_from_diagonal
 from .consequences import closure_ball
 from .words import (
     Word,
-    WordError,
+    _SYMBOL_RE,
     _word,
     check_symbol,
     cyclic_key,
@@ -320,12 +320,12 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("duplicate gens: line", lineno)
             generators = []
             for tok in line[len("gens:") :].split():
-                try:
-                    check_symbol(tok)
-                except WordError:
+                # check_symbol's rule without its cache, which would keep
+                # every parsed name alive for the rest of the process
+                if not _SYMBOL_RE.fullmatch(tok):
                     raise PresentationSyntaxError(
                         f"bad generator token {tok!r}", lineno, raw.index(tok)
-                    ) from None
+                    )
                 if tok in declared:
                     raise PresentationSyntaxError(f"duplicate generator {tok!r}", lineno)
                 declared.add(tok)
@@ -340,14 +340,10 @@ def parse_presentation(text: str) -> Presentation:
                 else:
                     name, sign = tok, 1
                 if name not in declared:
-                    # declared names passed check_symbol, so only here can
-                    # a token be malformed
-                    try:
-                        check_symbol(name)
-                    except WordError:
-                        raise PresentationSyntaxError(
-                            f"bad token {tok!r}", lineno, raw.index(tok)
-                        ) from None
+                    # declared names passed the rule, so only here can a
+                    # token be malformed
+                    if not _SYMBOL_RE.fullmatch(name):
+                        raise PresentationSyntaxError(f"bad token {tok!r}", lineno, raw.index(tok))
                     raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
                 letters.append((name, sign))
             relators.append(free_reduce(_word(tuple(letters))))

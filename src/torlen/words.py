@@ -26,6 +26,7 @@ class WordError(ValueError):
     pass
 
 
+# The one generator-name rule, the presentation file format's.
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_.]+")
 
 # Names that have passed check_symbol.  The check depends on the name
