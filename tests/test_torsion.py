@@ -3,20 +3,30 @@ from collections import deque
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
 from torlen.presentation import Presentation, canonicalize, free_product
 from torlen.torsion import (
+    CertificateSearchReport,
+    TorsionCertificate,
     in_certified_class,
     torsion_certificate_search,
     torsion_length,
     torsion_quotient_step,
     visible_torsion_generators,
 )
-from torlen.words import Word, invert_ints, reduce_ints
+from torlen.words import (
+    Word,
+    cyclic_key,
+    cyclic_split_ints,
+    ints_to_word,
+    invert_ints,
+    reduce_ints,
+    word_to_ints,
+)
 
 
 def P(gens, *relators):
@@ -289,3 +299,124 @@ def test_supporting_certificates_are_verified_once(monkeypatch):
 def test_search_rejects_bad_level():
     with pytest.raises(ValueError):
         torsion_certificate_search(P("x", "x x"), level=0)
+
+
+def reference_certificate_search(
+    p, level, word_bound, exponent_bound, consequence_budget, max_states
+):
+    """The certificate search as it was when it enumerated every reduced
+    word up to ``word_bound``, in length-lexicographic order with each
+    generator before its inverse, and looked up each power in the ball:
+    the reference that ``torsion_certificate_search`` must match."""
+
+    def reduced_words(n_gens, max_len):
+        letters = [x for g in range(1, n_gens + 1) for x in (g, -g)]
+        frontier = [()]
+        for _ in range(max_len):
+            new = []
+            for w in frontier:
+                for letter in letters:
+                    if w and w[-1] == -letter:
+                        continue
+                    new.append(w + (letter,))
+                    yield w + (letter,)
+            frontier = new
+
+    index = {g: i for i, g in enumerate(p.generators)}
+    names = list(p.generators)
+    relators = [word_to_ints(r, index) for r in p.relators]
+    adjoin_length_bound = max(1, word_bound // 2)
+    certificates = ()
+    by_core = {}
+    exhaustive = True
+    for current_level in range(1, level + 1):
+        if current_level > 1:
+            existing = {cyclic_key(r) for r in relators}
+            adjoined = []
+            for core, cert in sorted(by_core.items(), key=lambda kv: (len(kv[0]), kv[0])):
+                if core and len(core) <= adjoin_length_bound and core not in existing:
+                    existing.add(core)
+                    adjoined.append((core, cert))
+            relators = relators + [core for core, _ in adjoined]
+            adjoined_words = tuple(ints_to_word(core, names) for core, _ in adjoined)
+            supporting = tuple(cert for _, cert in adjoined)
+        else:
+            adjoined_words = ()
+            supporting = ()
+        ball = closure_ball(
+            relators, len(p.generators), word_bound, consequence_budget, max_states
+        )
+        exhaustive = exhaustive and ball.exhausted
+        rel_words = [ints_to_word(r, names) for r in ball.relators]
+        found = []
+        new_by_core = {}
+        for w in reduced_words(len(p.generators), word_bound):
+            head, core, tail = cyclic_split_ints(w)
+            for n in range(1, exponent_bound + 1):
+                power = head + core * n + tail
+                if len(power) > word_bound:
+                    break
+                if power not in ball:
+                    continue
+                factors = tuple(
+                    (ints_to_word(c, names), rel_words[ridx], sign)
+                    for c, ridx, sign in ball.factors(power)
+                )
+                cert = TorsionCertificate(
+                    ints_to_word(w, names), n, current_level, factors, adjoined_words, supporting
+                )
+                found.append(cert)
+                new_by_core.setdefault(cyclic_key(w), cert)
+                break
+        certificates = tuple(found)
+        by_core = new_by_core
+    return CertificateSearchReport(
+        level, word_bound, exponent_bound, consequence_budget, exhaustive, certificates
+    )
+
+
+def certificate_fields(cert):
+    return (
+        cert.word,
+        cert.exponent,
+        cert.level,
+        cert.factors,
+        cert.adjoined,
+        tuple(s.word for s in cert.supporting),
+    )
+
+
+@st.composite
+def small_presentations(draw):
+    names = ("a", "b", "c")[: draw(st.integers(min_value=1, max_value=3))]
+    letters = [x for g in range(1, len(names) + 1) for x in (g, -g)]
+    relators = draw(
+        st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=5), max_size=3)
+    )
+    return Presentation(names, tuple(ints_to_word(r, names) for r in relators))
+
+
+@seed(16)
+@settings(max_examples=300, deadline=None)
+@given(
+    small_presentations(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from((1, 4, 30, 200, 200_000)),  # small budgets leave the ball unexhausted
+)
+@example(build_pjkl(2, 2, 2), 2, 5, 6, 8, 200_000)
+@example(build_pjkl(2, 2, 2), 2, 5, 6, 8, 60)  # the second ball runs out of states
+@example(build_pjkl(2, 3, 4), 1, 5, 6, 8, 200_000)
+def test_certificate_search_matches_reference(
+    p, level, word_bound, exponent_bound, consequence_budget, max_states
+):
+    args = (p, level, word_bound, exponent_bound, consequence_budget, max_states)
+    report = torsion_certificate_search(*args)
+    expected = reference_certificate_search(*args)
+    assert report.exhaustive == expected.exhaustive
+    assert [certificate_fields(c) for c in report.certificates] == [
+        certificate_fields(c) for c in expected.certificates
+    ]
+    assert report == expected
