@@ -60,12 +60,6 @@ class CyclicFactorSpec:
             f"{name}:{'inf' if order is None else order}" for name, order in self.factors
         )
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self._lookup[name][0]
-        except KeyError:
-            raise FactorError(f"undeclared generator {name!r}") from None
-
     def order_of(self, factor_index: int) -> Optional[int]:
         return self.factors[factor_index][1]
 

@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .abelian import AbelianInvariants, _sparse_snf, invariants_from_diagonal
-from .consequences import closure_ball
 from .words import (
     Word,
     _SYMBOL_RE,
     _word,
     check_symbol,
-    cyclic_key,
     cyclic_reduce,
     free_reduce,
     fresh_symbol,
     least_rotation,
     substitute,
-    word_to_ints,
 )
 
 
@@ -75,46 +72,11 @@ def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Pr
 
 @dataclass(frozen=True)
 class PresentationMorphism:
-    """A map of presentations given by generator images.
-
-    ``relator_status`` records, per source relator, whether its image is
-    certified trivial in the target (by free reduction, a cyclic match
-    against a target relator, or a consequence search of depth 6) or
-    left "unverified".  Unverified relators are reported, never
-    silently accepted.
-    """
+    """A map of presentations given by generator images."""
 
     source: Presentation
     target: Presentation
     images: dict[str, Word]
-
-    def apply(self, w: Word) -> Word:
-        return substitute(w, self.images)
-
-    def relator_status(self) -> tuple[str, ...]:
-        statuses = []
-        index = {g: i for i, g in enumerate(self.target.generators)}
-        rel_ints = [word_to_ints(t, index) for t in self.target.relators]
-        target_classes = {cyclic_key(t) for t in rel_ints}
-        ball = None
-        for r in self.source.relators:
-            image = word_to_ints(self.apply(r), index)
-            if not image:
-                statuses.append("trivial")
-                continue
-            if cyclic_key(image) in target_classes:
-                statuses.append("relator-match")
-                continue
-            if ball is None:
-                ball = closure_ball(
-                    rel_ints,
-                    len(self.target.generators),
-                    max_len=max(len(image), 6),
-                    max_depth=6,
-                    max_states=50_000,
-                )
-            statuses.append("consequence" if image in ball else "unverified")
-        return tuple(statuses)
 
 
 @dataclass(frozen=True)

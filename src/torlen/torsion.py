@@ -11,8 +11,8 @@ results guarantee that visible torsion generates the whole first
 torsion subgroup.
 
 ``torsion_certificate_search`` is the complementary semi-decision
-machinery: a bounded enumerator of words whose powers are certified
-trivial by explicit products of conjugates of relators.
+machinery: it reads off a bounded ball of explicit products of
+conjugates of relators the words that have a power in it.
 """
 
 from __future__ import annotations
@@ -284,26 +284,6 @@ class CertificateSearchReport:
     certificates: tuple[TorsionCertificate, ...]
 
 
-def _enumerate_reduced_int_words(n_gens: int, max_len: int):
-    """Freely reduced nonempty int words in length-lexicographic order
-    (positive letter before its inverse)."""
-    letters = []
-    for g in range(1, n_gens + 1):
-        letters.append(g)
-        letters.append(-g)
-    frontier: list[IntWord] = [()]
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for letter in letters:
-                if w and w[-1] == -letter:
-                    continue
-                nw = w + (letter,)
-                new.append(nw)
-                yield nw
-        frontier = new
-
-
 def torsion_certificate_search(
     p: Presentation,
     level: int = 1,
@@ -312,12 +292,14 @@ def torsion_certificate_search(
     consequence_budget: int = 8,
     max_states: int = 200_000,
 ) -> CertificateSearchReport:
-    """Enumerate bounded torsion certificates at the given level.
+    """Find bounded torsion certificates at the given level.
 
     Level 1 certifies words w with w^n an explicit product of
     conjugates of the relators; level i+1 reruns the search with the
-    cyclic cores of level-i certified words adjoined as relators.
-    Absence of a certificate is evidence only at the stated budgets.
+    cyclic cores of level-i certified words adjoined as relators.  Each
+    level reads its certificates off one ball of such products and lists
+    them by length, then letter by letter, each generator before its
+    inverse.  Absence of a certificate is evidence only at the budgets.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -333,7 +315,6 @@ def torsion_certificate_search(
     relators = [word_to_ints(r, index) for r in p.relators]
     adjoin_length_bound = max(1, word_bound // 2)
 
-    certificates: tuple[TorsionCertificate, ...] = ()
     by_core: dict[IntWord, TorsionCertificate] = {}
     exhaustive = True
     for current_level in range(1, level + 1):
@@ -360,37 +341,36 @@ def torsion_certificate_search(
         )
         exhaustive = exhaustive and ball.exhausted
         rel_words = [ints_to_word(r, names) for r in ball.relators]
+        # A member head core tail with core = root^n is w^n for the
+        # reduced word w = head root tail.  Shorter members come first,
+        # so each w keeps its least n.
+        least: dict[IntWord, tuple[int, IntWord]] = {}
+        for power in sorted(ball.parents, key=len):
+            head, core, tail = cyclic_split_ints(power)
+            for n in range(1, min(exponent_bound, len(core)) + 1):
+                root = core[: len(core) // n]
+                if root * n == core:
+                    least.setdefault(head + root + tail, (n, power))
         found: list[TorsionCertificate] = []
         new_by_core: dict[IntWord, TorsionCertificate] = {}
-        for w in _enumerate_reduced_int_words(len(p.generators), word_bound):
-            head, core, tail = cyclic_split_ints(w)
-            for n in range(1, exponent_bound + 1):
-                # w is reduced, so w^n reduces to head core^n tail, whose
-                # length grows with n
-                power = head + core * n + tail
-                if len(power) > word_bound:
-                    break
-                if power not in ball:
-                    continue
-                raw_factors = ball.factors(power)
-                assert verify_factors(power, raw_factors, ball.relators)
-                factors = tuple(
-                    (ints_to_word(c, names), rel_words[ridx], sign)
-                    for c, ridx, sign in raw_factors
-                )
-                cert = TorsionCertificate(
-                    ints_to_word(w, names),
-                    n,
-                    current_level,
-                    factors,
-                    adjoined_words,
-                    supporting,
-                )
-                found.append(cert)
-                core = cyclic_key(w)
-                if core not in new_by_core:
-                    new_by_core[core] = cert
-                break
+        for w in sorted(least, key=lambda w: (len(w), [2 * abs(x) - (x > 0) for x in w])):
+            n, power = least[w]
+            raw_factors = ball.factors(power)
+            assert verify_factors(power, raw_factors, ball.relators)
+            factors = tuple(
+                (ints_to_word(c, names), rel_words[ridx], sign)
+                for c, ridx, sign in raw_factors
+            )
+            cert = TorsionCertificate(
+                ints_to_word(w, names),
+                n,
+                current_level,
+                factors,
+                adjoined_words,
+                supporting,
+            )
+            found.append(cert)
+            new_by_core.setdefault(cyclic_key(w), cert)
         certificates = tuple(found)
         by_core = new_by_core
     return CertificateSearchReport(

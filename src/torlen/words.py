@@ -30,9 +30,11 @@ class WordError(ValueError):
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_.]+")
 
 # Names that have passed check_symbol.  The check depends on the name
-# alone, so a name is validated once per process; names that fail are
-# never added and raise on every attempt.
+# alone, so a cached name is not checked again; names that fail are
+# never added and raise on every attempt.  The set is emptied when it
+# reaches _ACCEPTED_SYMBOLS_CAP names, which bounds its memory.
 _ACCEPTED_SYMBOLS: set[str] = set()
+_ACCEPTED_SYMBOLS_CAP = 4096
 
 
 def check_symbol(name: str) -> str:
@@ -42,6 +44,8 @@ def check_symbol(name: str) -> str:
         return name
     if not _SYMBOL_RE.fullmatch(name):
         raise WordError(f"generator name {name!r} is not in [A-Za-z0-9_.]+")
+    if len(_ACCEPTED_SYMBOLS) >= _ACCEPTED_SYMBOLS_CAP:
+        _ACCEPTED_SYMBOLS.clear()
     _ACCEPTED_SYMBOLS.add(name)
     return name
 

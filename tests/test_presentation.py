@@ -10,7 +10,6 @@ from torlen.coset import todd_coxeter
 from torlen.presentation import (
     Presentation,
     PresentationError,
-    PresentationMorphism,
     PresentationSyntaxError,
     abelianization,
     adjoin_relators,
@@ -366,27 +365,3 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nwat: x\n")
     except PresentationSyntaxError as exc:
         assert exc.line == 2
-
-
-# -- morphisms -------------------------------------------------------------
-
-
-def test_morphism_relator_status():
-    src = P("g", "g g")
-    tgt = P("x y", "x x", "y y y")
-    m = PresentationMorphism(src, tgt, {"g": Word.gen("x")})
-    assert m.relator_status() == ("relator-match",)
-
-
-def test_morphism_consequence_status():
-    src = P("g", "g g")
-    tgt = P("x y", "x x")
-    m = PresentationMorphism(src, tgt, {"g": Word.from_text("x x x")})
-    assert m.relator_status() == ("consequence",)
-
-
-def test_morphism_unverified_status():
-    src = P("g", "g g")
-    tgt = P("x", "x x x")
-    m = PresentationMorphism(src, tgt, {"g": Word.gen("x")})
-    assert m.relator_status() == ("unverified",)

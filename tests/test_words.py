@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from torlen import words as words_module
 from torlen.presentation import parse_presentation
 from torlen.words import (
     Word,
     WordError,
+    check_symbol,
     cyclic_reduce,
     cyclic_split_ints,
     free_reduce,
@@ -58,6 +60,19 @@ def test_bad_letters_rejected_after_valid_name_is_cached():
             Word((("x", 1), ("", -1)))
         with pytest.raises(WordError):
             Word((("x", 1), ("x", 0)))
+
+
+def test_accepted_symbol_cache_is_capped():
+    cache, cap = words_module._ACCEPTED_SYMBOLS, words_module._ACCEPTED_SYMBOLS_CAP
+    for k in range(cap + 10):
+        assert check_symbol(f"cap_{k}") == f"cap_{k}"
+        assert len(cache) <= cap
+    assert "cap_0" not in cache  # emptied at least once
+    for bad in ("x y", "a-b", ""):
+        with pytest.raises(WordError):
+            Word(((bad, 1),))
+        assert bad not in cache
+    assert Word.gen("cap_0") == Word.from_text("cap_0")
 
 
 def test_empty_word():
