@@ -1,7 +1,8 @@
 import random
+from collections import Counter, deque
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from torlen.stallings import (
     SubgroupGraph,
@@ -12,7 +13,7 @@ from torlen.stallings import (
     membership,
     nielsen_reduce,
 )
-from torlen.words import Word, WordError, free_reduce
+from torlen.words import Word, WordError, free_reduce, invert_ints, multiply_ints, word_to_ints
 
 F2 = ("a", "b")
 
@@ -143,6 +144,101 @@ def test_closure_oracle_agrees_with_graph():
         members = closure_members(gens, 6)
         for w in words:
             assert membership(graph, w) == (w.letters in members)
+
+
+def reference_closure_members(generators, max_length=8):
+    """``closure_members`` as it was when it explored tuples of ints: the
+    reference that the packed-int exploration must match."""
+    basis = nielsen_reduce(list(generators))
+    symbols = sorted({g for w in basis for g in w.symbols()})
+    index = {g: i for i, g in enumerate(symbols)}
+    gens = []
+    for b in basis:
+        t = word_to_ints(b, index)
+        gens.append(t)
+        gens.append(invert_ints(t))
+    radius = max_length + max((len(b) for b in basis), default=0)
+    seen = {()}
+    queue = deque([()])
+    while queue:
+        cur = queue.popleft()
+        last = cur[-1] if cur else 0
+        room = radius - len(cur)
+        for g in gens:
+            if g[0] != -last:
+                if len(g) > room:
+                    continue
+                new = cur + g
+            else:
+                new = multiply_ints(cur, g)
+                if len(new) > radius:
+                    continue
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+    letter = {}
+    for i, g in enumerate(symbols):
+        letter[i + 1] = (g, 1)
+        letter[-(i + 1)] = (g, -1)
+    return frozenset(tuple(map(letter.__getitem__, w)) for w in seen if len(w) <= max_length)
+
+
+def subgroup_ball_size(ambient, gens, radius):
+    """How many reduced words of length ``radius`` or less lie in the
+    subgroup: the reduced closed walks at the base of its folded graph.
+    It bounds the states a closure exploration of that radius visits."""
+    graph = build_subgroup_graph(ambient, gens)
+    arcs = [(u, (g, 1), v) for u, g, v in graph.edges]
+    arcs += [(v, (g, -1), u) for u, g, v in graph.edges]
+    walks = Counter({(graph.base, None): 1})
+    total = 1
+    for _ in range(radius):
+        longer = Counter()
+        for (u, last), n in walks.items():
+            for s, l, t in arcs:
+                if s == u and (last is None or l != (last[0], -last[1])):
+                    longer[t, l] += n
+        walks = longer
+        total += sum(n for (v, _), n in walks.items() if v == graph.base)
+    return total
+
+
+@st.composite
+def small_subgroups(draw):
+    """An ambient of 1-3 letters and 0-3 generator words of 0-5 letters,
+    not necessarily reduced, so a word may cancel to the empty word."""
+    ambient = ("a", "b", "c")[: draw(st.integers(min_value=1, max_value=3))]
+    letter = st.tuples(st.sampled_from(ambient), st.sampled_from((1, -1)))
+    gens = draw(st.lists(st.lists(letter, max_size=5), max_size=3))
+    return ambient, [Word(tuple(g)) for g in gens]
+
+
+@seed(17)
+@settings(max_examples=200, deadline=None)
+@given(small_subgroups(), st.integers(min_value=0, max_value=8))
+@example((("a", "b"), [Word.gen("a"), Word.gen("b")]), 8)
+@example((("a", "b"), [Word.from_text("a b b^-1 a^-1"), Word.from_text("b b")]), 8)
+@example((("a",), [Word.from_text("a a^-1")]), 3)
+@example((("a", "b", "c"), []), 0)
+@example(  # one letter short of this radius, a member of length 3 is lost
+    (("a", "b", "c"), [Word.from_text(t) for t in ("c^-1 c b c", "a^-1 b^-1", "c^-1 a b^-1 b c^-1")]),
+    3,
+)
+def test_closure_members_matches_reference(case, max_length):
+    ambient, gens = case
+    longest = max((len(w) for w in nielsen_reduce(gens)), default=0)
+    # keep each case cheap; F(a, b) at length 8 explores 39,365 states
+    while subgroup_ball_size(ambient, gens, max_length + longest) > 40_000:
+        max_length -= 1
+    assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
+
+
+def test_closure_member_counts_in_closed_form():
+    # reduced words of length <= 8: 1 + 4 (1 + 3 + ... + 3^7) = 2 * 3^8 - 1
+    # in F(a, b); a^-8 .. a^8 in <a>; the even powers among them in <a^2>
+    assert len(closure_members([Word.gen("a"), Word.gen("b")], 8)) == 2 * 3**8 - 1
+    assert len(closure_members([Word.gen("a")], 8)) == 17
+    assert len(closure_members([Word.gen("a", 2)], 8)) == 9
 
 
 def test_graph_report_shape():

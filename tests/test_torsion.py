@@ -109,6 +109,7 @@ small_relators = st.lists(
 @example([(1, 2, -1)], 2, 4, 3, 2000)  # a b a^-1: its rotations are not reduced
 @example([(1, 1, 2, -1, -1), (2, 2)], 2, 4, 3, 2000)
 @example([(2, 1, -2)], 2, 4, 3, 50)  # a conjugation that cancels at the right end only
+@example([(2,)], 2, 4, 3, 2000)  # b inserted after the b^-1 of a b^-1 a^-1 leaves the empty word
 def test_closure_ball_matches_whole_word_reduction(
     relators, n_generators, max_len, max_depth, max_states
 ):
