@@ -270,37 +270,71 @@ def closure_members(
     factor, so the truncated closure is complete on the reported ball.
     (Closure over the raw generators at radius max_length is *not*:
     short members can require long intermediate products.)
+
+    The search packs each reduced word into one int, in base 2k+1 over
+    the k basis symbols: symbol i is digit i+1, its inverse digit
+    k+i+1, and the last letter is the lowest digit.  No digit is 0, so
+    the int alone names the word, and the empty word is 0.  Appending a
+    word is ``cur * base**len + code``; a cancelling letter is peeled
+    off with ``cur // base``.
     """
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
     basis = nielsen_reduce(list(generators))
     symbols = sorted({g for w in basis for g in w.symbols()})
     index = {g: i for i, g in enumerate(symbols)}
-    gens = []
+    k = len(symbols)
+    base = 2 * k + 1
+    digit = {x: x if x > 0 else k - x for i in range(1, k + 1) for x in (i, -i)}
+    # one move per basis word and inverse g; for each suffix rest = g[i:],
+    # the digit that cancels g[i], base**len(rest) and the code of rest
+    moves = []
     for b in basis:
         t = word_to_ints(b, index)
-        gens.append(t)
-        gens.append(invert_ints(t))
+        for g in (t, invert_ints(t)):
+            size = len(g)
+            cancels = [digit[-x] for x in g]
+            shifts = [base ** (size - i) for i in range(size + 1)]
+            codes = [0] * (size + 1)
+            for i in reversed(range(size)):
+                codes[i] = digit[g[i]] * shifts[i + 1] + codes[i + 1]
+            moves.append((size, cancels, shifts, codes))
     radius = max_length + max((len(b) for b in basis), default=0)
-    seen = {()}
-    queue = deque([()])
+    seen = {0: 0}  # packed word -> its length
+    queue = deque([0])
     while queue:
         cur = queue.popleft()
-        last = cur[-1] if cur else 0
-        room = radius - len(cur)
-        for g in gens:
-            if g[0] != -last:
+        n = seen[cur]
+        last = cur % base
+        for size, cancels, shifts, codes in moves:
+            if last != cancels[0]:
                 # nothing cancels: a plain concatenation
-                if len(g) > room:
+                if n + size > radius:
                     continue
-                new = cur + g
+                new, length = cur * shifts[0] + codes[0], n + size
             else:
-                new = multiply_ints(cur, g)
-                if len(new) > radius:
+                rest, i = cur // base, 1
+                while i < size and rest % base == cancels[i]:
+                    rest //= base
+                    i += 1
+                length = n + size - 2 * i
+                if length > radius:
                     continue
+                new = rest * shifts[i] + codes[i]
             if new not in seen:
-                seen.add(new)
+                seen[new] = length
                 queue.append(new)
-    letter = {}
-    for i, g in enumerate(symbols):
-        letter[i + 1] = (g, 1)
-        letter[-(i + 1)] = (g, -1)
-    return frozenset(tuple(map(letter.__getitem__, w)) for w in seen if len(w) <= max_length)
+    # spell each member from its prefix one letter shorter, spelling
+    # that prefix first when it is not yet known
+    letter = {digit[x]: (symbols[abs(x) - 1], 1 if x > 0 else -1) for x in digit}
+    spelled = {0: ()}
+    for w, length in seen.items():
+        if length <= max_length:
+            heads = []
+            while w not in spelled:
+                heads.append(w)
+                w //= base
+            for h in reversed(heads):
+                spelled[h] = spelled[w] + (letter[h % base],)
+                w = h
+    return frozenset(spelled[w] for w, length in seen.items() if length <= max_length)

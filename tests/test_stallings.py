@@ -241,6 +241,12 @@ def test_closure_member_counts_in_closed_form():
     assert len(closure_members([Word.gen("a", 2)], 8)) == 9
 
 
+def test_closure_members_rejects_negative_length():
+    assert closure_members([Word.gen("a")], 0) == {()}
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        closure_members([Word.gen("a")], -1)
+
+
 def test_graph_report_shape():
     report = graph_report(build_subgroup_graph(F2, [Word.from_text("a a")]))
     assert report == {"rank": 1, "basis": ["a a"], "vertices": 2, "edges": 2}
