@@ -91,6 +91,34 @@ def reference_ball(relators, n_generators, max_len, max_depth, max_states):
     return parents, True
 
 
+def reference_factors(ball, iw):
+    """``ClosureBall.factors`` as it was when every call replayed the
+    moves from the root, reducing each word and conjugator whole: the
+    reference that the factors kept per ball must match."""
+    path = []
+    cur = iw
+    while cur != ():
+        parent, move = ball.parents[cur]
+        path.append(move)
+        cur = parent
+    path.reverse()
+    factors = []
+    word = ()
+    for move in path:
+        if move[0] == "ins":
+            _, pos, ridx, sign, rot = move
+            rel = ball.relators[ridx] if sign == 1 else invert_ints(ball.relators[ridx])
+            pre = rel[:rot]
+            factors.insert(0, (reduce_ints(word[:pos] + invert_ints(pre)), ridx, sign))
+            word = reduce_ints(word[:pos] + rel[rot:] + pre + word[pos:])
+        else:
+            _, letter = move
+            factors = [(reduce_ints((letter,) + c), ridx, sign) for c, ridx, sign in factors]
+            word = reduce_ints((letter,) + word + (-letter,))
+    assert word == iw
+    return factors
+
+
 small_relators = st.lists(
     st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=5).map(tuple),
     min_size=1,
@@ -117,6 +145,60 @@ def test_closure_ball_matches_whole_word_reduction(
     parents, exhausted = reference_ball(relators, n_generators, max_len, max_depth, max_states)
     assert list(ball.parents.items()) == list(parents.items())
     assert ball.exhausted == exhausted
+
+
+@seed(18)
+@settings(max_examples=200, deadline=None)
+@given(
+    small_relators,
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from((1, 7, 50, 2000)),  # small budgets stop the ball mid-level
+    st.randoms(use_true_random=False),
+)
+# conjugating a^-1 b^-1 a b^-1 by a cancels the a^-1 that begins its first
+# conjugator, a^-1 b^-1 a a
+@example([(-1, -2, 1)], 2, 4, 3, 50, random.Random(0))
+def test_closure_ball_factors_match_reference(
+    relators, n_generators, max_len, max_depth, max_states, rnd
+):
+    args = (relators, n_generators, max_len, max_depth, max_states)
+    ball = closure_ball(*args)
+    expected = {state: reference_factors(ball, state) for state in ball.parents}
+    states = list(ball.parents)
+    rnd.shuffle(states)
+    for state in states:
+        assert ball.factors(state) == expected[state]
+    # a fresh ball asked deepest state first (the parents map is in BFS order)
+    ball = closure_ball(*args)
+    for state in reversed(ball.parents):
+        got = ball.factors(state)
+        assert got == expected[state]
+        got.append(((1,), 0, 1))  # the caller owns the list it gets
+        assert ball.factors(state) == expected[state]
+        got.clear()
+        assert ball.factors(state) == expected[state]
+
+
+def test_closure_ball_factors_are_kept_per_ball():
+    # over relators a b and a, the ball of length 1 reaches b^-1 from a,
+    # the ball of length 2 from b^-1 a^-1
+    short = closure_ball([(1, 2), (1,)], 2, max_len=1, max_depth=2)
+    long = closure_ball([(1, 2), (1,)], 2, max_len=2, max_depth=2)
+    assert short.factors((-2,)) == [((), 0, -1), ((), 1, 1)]
+    assert long.factors((-2,)) == [((-2,), 1, 1), ((), 0, -1)]
+    for ball in (short, long):
+        assert all(ball.factors(s) == reference_factors(ball, s) for s in ball.parents)
+
+
+def test_closure_ball_equality_and_repr_ignore_kept_factors():
+    asked = closure_ball([(1, 1), (2, 2)], 2, max_len=4, max_depth=3)
+    fresh = closure_ball([(1, 1), (2, 2)], 2, max_len=4, max_depth=3)
+    for state in asked.parents:
+        asked.factors(state)
+    assert asked == fresh
+    assert repr(asked) == repr(fresh)
 
 
 # -- certified class and quotient steps ------------------------------------
@@ -361,7 +443,7 @@ def reference_certificate_search(
                     continue
                 factors = tuple(
                     (ints_to_word(c, names), rel_words[ridx], sign)
-                    for c, ridx, sign in ball.factors(power)
+                    for c, ridx, sign in reference_factors(ball, power)
                 )
                 cert = TorsionCertificate(
                     ints_to_word(w, names), n, current_level, factors, adjoined_words, supporting
