@@ -18,10 +18,12 @@ from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 #   ("ins", position, relator_index, sign, rotation) -- insert a cyclic
 #       rotation of relator^sign at the given position.  The word and the
 #       rotation (reduced once, up front) are both reduced, so letters
-#       cancel only at the two seams, and only if the rotation starts
-#       with the inverse of the letter before the position or ends with
-#       the inverse of the letter after it.  Otherwise the child is the
-#       plain concatenation, of length len(word) + len(rotation).
+#       cancel only at the two seams.  The left seam is reduced only if
+#       the rotation starts with the inverse of the letter before the
+#       position; the right one only if the result so far ends with the
+#       inverse of the letter after it (a rotation cancelled away whole
+#       lets the word's letters meet).  Otherwise the child is the plain
+#       concatenation, of length len(word) + len(rotation).
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
 #       ends, and only if the word starts with -letter or ends with
@@ -39,40 +41,46 @@ class ClosureBall:
     def __contains__(self, iw: IntWord) -> bool:
         return iw in self.parents
 
+    # Each state's factors as a tuple, derived once from its parent's.  A
+    # class attribute, not a field, so ``==`` and ``repr`` ignore it.
+    _factors = None
+
     def factors(self, iw: IntWord) -> list[tuple[IntWord, int, int]]:
         """Express ``iw`` as an ordered product of conjugates.
 
         Returns [(conjugator, relator_index, sign), ...] with
         iw = prod_i  c_i * relators[r_i]^{s_i} * c_i^{-1}  after free
-        reduction.
+        reduction, as a fresh list.  The factors of every state on the
+        path from the root are kept, so each is derived once from its
+        parent's; this holds for a ball that is not mutated after
+        ``closure_ball`` builds it.
         """
+        if self._factors is None:
+            self._factors = {(): ()}
+        memo = self._factors
         path = []
         cur = iw
-        while cur != ():
+        while cur not in memo:
             parent, move = self.parents[cur]
-            path.append(move)
+            path.append((cur, move))
             cur = parent
-        path.reverse()
-        factors: list[tuple[IntWord, int, int]] = []
-        word: IntWord = ()
-        for move in path:
+        factors = memo[cur]
+        for state, move in reversed(path):
             if move[0] == "ins":
                 _, pos, ridx, sign, rot = move
                 rel = self.relators[ridx] if sign == 1 else invert_ints(self.relators[ridx])
-                pre = rel[:rot]
-                conj = reduce_ints(word[:pos] + invert_ints(pre))
-                # inserting at pos turns word = a b into a (pre^-1 rel pre) b,
-                # i.e. new = (a pre^-1) rel (a pre^-1)^-1 * old: prepend
-                factors.insert(0, (conj, ridx, sign))
-                word = reduce_ints(word[:pos] + rel[rot:] + pre + word[pos:])
+                # with pre = rel[:rot], inserting at pos turns cur = a b into
+                # a (pre^-1 rel pre) b = (a pre^-1) rel (a pre^-1)^-1 * cur: prepend
+                conj = multiply_ints(cur[:pos], invert_ints(rel[:rot]))
+                factors = ((conj, ridx, sign),) + factors
             else:
-                _, letter = move
-                factors = [
-                    (reduce_ints((letter,) + c), ridx, sign) for c, ridx, sign in factors
-                ]
-                word = reduce_ints((letter,) + word + (-letter,))
-        assert word == iw
-        return factors
+                letter = move[1]
+                factors = tuple(
+                    (multiply_ints((letter,), c), ridx, sign) for c, ridx, sign in factors
+                )
+            memo[state] = factors
+            cur = state
+        return list(factors)
 
 
 def _rotations(rel: IntWord) -> list[tuple[int, IntWord]]:
@@ -107,9 +115,12 @@ def closure_ball(
     ``exhausted`` is False when the state budget was hit, i.e. absence
     from the ball is then evidence only at the explored budget.
     """
+    if max_len < 0 or max_depth < 0 or max_states < 1:
+        raise ValueError("max_len and max_depth must be >= 0, max_states >= 1")
     rels = tuple(reduce_ints(r) for r in relators)
     ball = ClosureBall(rels)
-    ball.parents[()] = ((), ("root",))
+    parents = ball.parents
+    parents[()] = ((), ("root",))
     ins_moves = []
     for ridx, rel in enumerate(rels):
         if not rel:
@@ -136,7 +147,6 @@ def closure_ball(
             continue
         n = len(word)
         room = max_len - n
-        children = []
         for pos in range(n + 1):
             before = word[pos - 1] if pos else 0
             after = word[pos] if pos < n else 0
@@ -150,27 +160,32 @@ def closure_ball(
             head, tail = word[:pos], word[pos:]
             for ridx, sign, rot, rotated in moves:
                 if rotated[0] == -before or rotated[-1] == -after:
-                    new = multiply_ints(multiply_ints(head, rotated), tail)
+                    new = multiply_ints(head, rotated) if rotated[0] == -before else head + rotated
+                    new = multiply_ints(new, tail) if new and new[-1] == -after else new + tail
                     if len(new) > max_len:
                         continue
                 else:
                     new = head + rotated + tail
-                children.append((new, ("ins", pos, ridx, sign, rot)))
+                if new in parents:
+                    continue
+                if len(parents) >= max_states:
+                    ball.exhausted = False
+                    return ball
+                parents[new] = (word, ("ins", pos, ridx, sign, rot))
+                queue.append((new, depth + 1))
         if room >= 2 or not word:
             conj_letters = letters
         else:
             conj_letters = [g for g in letters if g == -word[0] or g == word[-1]]
         for letter in conj_letters:
-            new = multiply_ints(multiply_ints((letter,), word), (-letter,))
-            if len(new) <= max_len:
-                children.append((new, ("conj", letter)))
-        for new, move in children:
-            if new in ball.parents:
+            new = word[1:] if word and word[0] == -letter else (letter,) + word
+            new = new[:-1] if new and new[-1] == letter else new + (-letter,)
+            if len(new) > max_len or new in parents:
                 continue
-            if len(ball.parents) >= max_states:
+            if len(parents) >= max_states:
                 ball.exhausted = False
                 return ball
-            ball.parents[new] = (word, move)
+            parents[new] = (word, ("conj", letter))
             queue.append((new, depth + 1))
     return ball
 

@@ -310,6 +310,8 @@ def torsion_certificate_search(
     ):
         if bound < 0:
             raise ValueError(f"{name} must be >= 0")
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
     index = {g: i for i, g in enumerate(p.generators)}
     names = list(p.generators)
     relators = [word_to_ints(r, index) for r in p.relators]
@@ -322,7 +324,7 @@ def torsion_certificate_search(
             existing = {cyclic_key(r) for r in relators}
             adjoined = []
             for core, cert in sorted(by_core.items(), key=lambda kv: (len(kv[0]), kv[0])):
-                if core and len(core) <= adjoin_length_bound and core not in existing:
+                if core not in existing:
                     existing.add(core)
                     adjoined.append((core, cert))
             relators = relators + [core for core, _ in adjoined]
@@ -343,7 +345,9 @@ def torsion_certificate_search(
         rel_words = [ints_to_word(r, names) for r in ball.relators]
         # A member head core tail with core = root^n is w^n for the
         # reduced word w = head root tail.  Shorter members come first,
-        # so each w keeps its least n.
+        # so each w keeps its least n.  Conjugators are spelled once per
+        # level; w is keyed by its core only if the next level may adjoin it.
+        spelled: dict[IntWord, Word] = {}
         least: dict[IntWord, tuple[int, IntWord]] = {}
         for power in sorted(ball.parents, key=len):
             head, core, tail = cyclic_split_ints(power)
@@ -357,10 +361,10 @@ def torsion_certificate_search(
             n, power = least[w]
             raw_factors = ball.factors(power)
             assert verify_factors(power, raw_factors, ball.relators)
-            factors = tuple(
-                (ints_to_word(c, names), rel_words[ridx], sign)
-                for c, ridx, sign in raw_factors
-            )
+            for c, _, _ in raw_factors:
+                if c not in spelled:
+                    spelled[c] = ints_to_word(c, names)
+            factors = tuple((spelled[c], rel_words[ridx], sign) for c, ridx, sign in raw_factors)
             cert = TorsionCertificate(
                 ints_to_word(w, names),
                 n,
@@ -370,7 +374,8 @@ def torsion_certificate_search(
                 supporting,
             )
             found.append(cert)
-            new_by_core.setdefault(cyclic_key(w), cert)
+            if current_level < level and len(cyclic_split_ints(w)[1]) <= adjoin_length_bound:
+                new_by_core.setdefault(cyclic_key(w), cert)
         certificates = tuple(found)
         by_core = new_by_core
     return CertificateSearchReport(

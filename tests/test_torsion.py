@@ -201,6 +201,21 @@ def test_closure_ball_equality_and_repr_ignore_kept_factors():
     assert repr(asked) == repr(fresh)
 
 
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        dict(max_len=-1, max_depth=3),  # would hold the empty word, longer than the bound
+        dict(max_len=2, max_depth=-2),
+        dict(max_len=2, max_depth=3, max_states=0),  # would hold one state over budget
+    ],
+)
+def test_closure_ball_rejects_budgets_it_cannot_honour(budgets):
+    with pytest.raises(ValueError, match="max_len and max_depth must be >= 0, max_states >= 1"):
+        closure_ball([(1, 1)], 1, **budgets)
+    ball = closure_ball([(1, 1)], 1, max_len=0, max_depth=0, max_states=1)
+    assert ball.parents == {(): ((), ("root",))} and ball.exhausted
+
+
 # -- certified class and quotient steps ------------------------------------
 
 
@@ -356,6 +371,8 @@ def test_certificate_search_rejects_negative_budgets(budget):
         torsion_certificate_search(build_pjkl(2, 2, 2), **{budget: -1})
     with pytest.raises(ValueError, match="level must be >= 1"):
         torsion_certificate_search(build_pjkl(2, 2, 2), level=0)
+    with pytest.raises(ValueError, match="max_states must be >= 1"):
+        torsion_certificate_search(build_pjkl(2, 2, 2), max_states=0)
 
 
 def test_certificate_verification_rejects_tampering():
