@@ -9,6 +9,7 @@ from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
 from torlen.presentation import Presentation, canonicalize, free_product
+from torlen.stallings import UnionFind
 from torlen.torsion import (
     CertificateSearchReport,
     TorsionCertificate,
@@ -21,6 +22,7 @@ from torlen.torsion import (
 from torlen.words import (
     Word,
     cyclic_key,
+    cyclic_reduce,
     cyclic_split_ints,
     ints_to_word,
     invert_ints,
@@ -229,6 +231,150 @@ def test_certified_class_membership():
     assert not in_certified_class(P("a b", "a b a^-1 b^-1"))
     # two power relators on the same generator: not a tree shape
     assert not in_certified_class(P("x", "x x", "x x x"))
+
+
+def reference_in_certified_class(p):
+    """The recognizer as it was when it split the presentation into
+    free-product components with a union-find and checked each one's
+    tree shape by counting: the reference that the one-pass forest rule
+    must match."""
+
+    def classify(core):
+        letters = core.letters
+        if not letters:
+            return None
+        names = {g for g, _ in letters}
+        signs = {s for _, s in letters}
+        if len(names) == 1 and len(signs) == 1:
+            return ("power", letters[0][0], len(letters) * letters[0][1])
+        if len(names) != 3:
+            return None
+        for variant in (letters, core.inverse().letters):
+            for k in range(len(variant)):
+                rot = variant[k:] + variant[:k]
+                if rot[0][1] == 1 and rot[1][1] == 1 and all(s == -1 for _, s in rot[2:]):
+                    u, v = rot[0][0], rot[1][0]
+                    tail = {g for g, _ in rot[2:]}
+                    if len(tail) == 1 and u != v and len(rot) >= 4:
+                        (w,) = tail
+                        if w not in (u, v):
+                            return ("link", u, v, w, len(rot) - 2)
+        return None
+
+    def component_in_class(gens, relinfo):
+        if not relinfo:
+            return len(gens) == 1
+        powers, defined, child_count = {}, {}, {}
+        for info in relinfo:
+            if info is None:
+                return False
+            if info[0] == "power":
+                _, g, e = info
+                if g in powers:
+                    return False
+                powers[g] = e
+            else:
+                _, u, v, w, e = info
+                if w in defined:
+                    return False
+                defined[w] = (u, v)
+                for child in (u, v):
+                    child_count[child] = child_count.get(child, 0) + 1
+                    if child_count[child] > 1:
+                        return False
+        if set(powers) & set(defined):
+            return False
+        if not defined:
+            return len(gens) == 1 and gens[0] in powers
+        for g in gens:
+            if g not in powers and g not in defined:
+                return False
+        if any(abs(e) < 2 for e in powers.values()):
+            return False
+        if len(gens) != 2 * len(defined) + 1:
+            return False
+        roots = [g for g in gens if child_count.get(g, 0) == 0]
+        if len(roots) != 1 or roots[0] not in defined:
+            return False
+        seen = set()
+        stack = [roots[0]]
+        while stack:
+            g = stack.pop()
+            if g in seen:
+                return False
+            seen.add(g)
+            if g in defined:
+                stack.extend(defined[g])
+        return seen == set(gens)
+
+    cores = [c for c in (cyclic_reduce(r)[0] for r in p.relators) if c]
+    index = {g: i for i, g in enumerate(p.generators)}
+    uf = UnionFind(len(p.generators))
+    for core in cores:
+        first = index[core.letters[0][0]]
+        for g, _ in core.letters[1:]:
+            uf.union(first, index[g])
+    gen_groups, rel_groups = {}, {}
+    for i, g in enumerate(p.generators):
+        gen_groups.setdefault(uf.find(i), []).append(g)
+    for i, core in enumerate(cores):
+        rel_groups.setdefault(uf.find(index[core.letters[0][0]]), []).append(i)
+    return all(
+        component_in_class(gens, [classify(cores[i]) for i in rel_groups.get(root, [])])
+        for root, gens in gen_groups.items()
+    )
+
+
+@st.composite
+def structured_presentations(draw):
+    """1-7 generators and 0-6 relators, each a power, a linking relator
+    u v w^-e (rotated, inverted, conjugated or with one letter replaced)
+    or a random word."""
+    gens = tuple(f"g{i}" for i in range(draw(st.integers(min_value=1, max_value=7))))
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relators = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("power", "power", "link", "link", "replaced", "random")))
+        if kind == "power":
+            e = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            letters = [(draw(st.sampled_from(gens)), 1 if e > 0 else -1)] * abs(e)
+        elif kind == "random":
+            letters = draw(st.lists(letter, max_size=5))
+        else:
+            three = st.lists(st.sampled_from(gens), min_size=3, max_size=3, unique=len(gens) >= 3)
+            u, v, w = draw(three)
+            letters = [(u, 1), (v, 1)] + [(w, -1)] * draw(st.integers(min_value=1, max_value=3))
+            if kind == "replaced":
+                letters[draw(st.integers(0, len(letters) - 1))] = draw(letter)
+            k = draw(st.integers(0, len(letters) - 1))
+            letters = letters[k:] + letters[:k]
+            if draw(st.booleans()):
+                letters = [(g, -s) for g, s in reversed(letters)]
+            if draw(st.booleans()):
+                c = draw(letter)
+                letters = [c] + letters + [(c[0], -c[1])]
+        relators.append(Word(tuple(letters)))
+    return Presentation(gens, tuple(relators))
+
+
+@seed(19)
+@settings(max_examples=500, deadline=None)
+@given(structured_presentations())
+@example(P("p q a b", "q a p^-1 p^-1", "p b q^-1 q^-1", "a a", "b b"))  # a two-link cycle
+@example(P("u v w s", "u v w^-1 w^-1", "u v s^-1 s^-1", "u u", "v v"))  # a shared child
+@example(P("u v w", "u v w^-1 w^-1", "u", "v v"))  # a leaf of order 1
+def test_certified_class_matches_reference(p):
+    assert in_certified_class(p) == reference_in_certified_class(p)
+
+
+def test_certified_class_matches_reference_on_the_families():
+    families = (
+        [build_pn(n) for n in range(8)]
+        + [build_pjkl(j, k, l) for j in range(2, 5) for k in range(2, 5) for l in range(2, 5)]
+        + [build_chain(m) for m in range(5)]
+    )
+    for p in families:
+        assert in_certified_class(p) and reference_in_certified_class(p)
 
 
 def test_visible_torsion_generators():
