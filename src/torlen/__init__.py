@@ -18,7 +18,7 @@ from .constructions import (
     build_qn,
     build_tgen,
 )
-from .coset import BoundExceeded, CosetTable, table_error, todd_coxeter
+from .coset import CosetTable, table_error, todd_coxeter
 from .freeprod import (
     CyclicFactorSpec,
     NoWitnessUpToBound,
@@ -37,7 +37,6 @@ from .presentation import (
     FreeProductResult,
     Presentation,
     PresentationError,
-    PresentationMorphism,
     PresentationSyntaxError,
     abelianization,
     adjoin_relators,

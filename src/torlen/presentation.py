@@ -71,19 +71,9 @@ def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Pr
 
 
 @dataclass(frozen=True)
-class PresentationMorphism:
-    """A map of presentations given by generator images."""
-
-    source: Presentation
-    target: Presentation
-    images: dict[str, Word]
-
-
-@dataclass(frozen=True)
 class FreeProductResult:
     presentation: Presentation
-    left: PresentationMorphism
-    right: PresentationMorphism
+    rename: dict[str, str]  # each right-factor generator to its new name
 
 
 def free_product(p: Presentation, q: Presentation) -> FreeProductResult:
@@ -99,10 +89,7 @@ def free_product(p: Presentation, q: Presentation) -> FreeProductResult:
         taken.add(new)
         gens.append(new)
     q_rels = tuple(_word(tuple((rename[g], s) for g, s in r.letters)) for r in q.relators)
-    out = _presentation(tuple(gens), p.relators + q_rels)
-    left = PresentationMorphism(p, out, {g: Word.gen(g) for g in p.generators})
-    right = PresentationMorphism(q, out, {g: Word.gen(rename[g]) for g in q.generators})
-    return FreeProductResult(out, left, right)
+    return FreeProductResult(_presentation(tuple(gens), p.relators + q_rels), rename)
 
 
 def adjoin_relators(p: Presentation, new_relators: Iterable[Word]) -> Presentation:
@@ -148,10 +135,9 @@ def eliminate_generator_with_image(
     presentation and the image w of g."""
     if g not in p.generators:
         raise PresentationError(f"unknown generator {g!r}")
-    try:
-        relator = p.relators[defining_relator_index]
-    except IndexError:
+    if not 0 <= defining_relator_index < len(p.relators):
         raise PresentationError(f"no relator at index {defining_relator_index}")
+    relator = p.relators[defining_relator_index]
     positions = [i for i, (name, _) in enumerate(relator.letters) if name == g]
     if len(positions) != 1:
         raise PresentationError(

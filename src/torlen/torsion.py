@@ -10,6 +10,13 @@ construction families, where the free-product and amalgam torsion
 results guarantee that visible torsion generates the whole first
 torsion subgroup.
 
+The class is a forest rule.  Every nonempty relator core is a power
+g^e or a link u v w^-e (u, v, w distinct, e >= 2) making w the parent
+of u and v.  No generator has two powers, two links or two parents; a
+parent has no power, every other linked generator has a power with
+|e| >= 2, and every linked generator lies below a parent that has no
+parent itself, so the links form binary trees, not cycles.
+
 ``torsion_certificate_search`` is the complementary semi-decision
 machinery: it reads off a bounded ball of explicit products of
 conjugates of relators the words that have a power in it.
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 
 from .consequences import closure_ball, verify_factors
 from .presentation import Presentation, kill_generators
-from .stallings import UnionFind
 from .words import (
     IntWord,
     Word,
@@ -38,122 +44,66 @@ from .words import (
 def _classify_relator(core: Word):
     """Classify a cyclically reduced relator.
 
-    Returns ("power", g, e) for g^e with |e| >= 1, or
-    ("link", u, v, w, e) for a relator some rotation/inversion of which
-    reads u v w^-e with distinct generators and e >= 2, else None.
+    Returns ("power", g, e) for g^e with |e| >= 1, or ("link", u, v, w)
+    for a cyclic word reading u v w^-e or its inverse, with distinct
+    generators and e >= 2, else None.
     """
     letters = core.letters
     if not letters:
         return None
-    names = {g for g, _ in letters}
-    signs = {s for _, s in letters}
-    if len(names) == 1 and len(signs) == 1:
-        g = letters[0][0]
-        e = len(letters) * letters[0][1]
-        return ("power", g, e)
-    if len(names) != 3:
-        return None
-    for variant in (letters, core.inverse().letters):
-        for k in range(len(variant)):
-            rot = variant[k:] + variant[:k]
-            # want u^+1 v^+1 w^-e
-            if rot[0][1] == 1 and rot[1][1] == 1 and all(s == -1 for _, s in rot[2:]):
-                u, v = rot[0][0], rot[1][0]
-                tail = {g for g, _ in rot[2:]}
-                if len(tail) == 1 and u != v and len(rot) >= 4:
-                    (w,) = tail
-                    if w not in (u, v):
-                        return ("link", u, v, w, len(rot) - 2)
+    if letters.count(letters[0]) == len(letters):
+        return ("power", letters[0][0], len(letters) * letters[0][1])
+    n = len(letters)
+    for s in (1, -1):
+        # two cyclically adjacent letters of sign s and every other one
+        # w^-s; for s = -1 the inverse reads u v w^-e, so u and v swap
+        pair = [k for k, (_, t) in enumerate(letters) if t == s]
+        rest = {l for l in letters if l[1] != s}
+        if n >= 4 and len(pair) == 2 and len(rest) == 1 and pair[1] - pair[0] in (1, n - 1):
+            i, j = pair if pair[1] - pair[0] == 1 else pair[::-1]
+            ((w, _),) = rest
+            u, v = (letters[i][0], letters[j][0])[::s]
+            if len({u, v, w}) == 3:
+                return ("link", u, v, w)
     return None
 
 
-def _components(p: Presentation, cores: list[Word]):
-    """Free-product components: generators linked by a shared nonempty
-    relator core, keyed by a root generator index, with the indices of
-    the cores in each."""
-    index = {g: i for i, g in enumerate(p.generators)}
-    uf = UnionFind(len(p.generators))
-    for core in cores:
-        first = index[core.letters[0][0]]
-        for g, _ in core.letters[1:]:
-            uf.union(first, index[g])
-    gen_groups: dict[int, list[str]] = {}
-    for i, g in enumerate(p.generators):
-        gen_groups.setdefault(uf.find(i), []).append(g)
-    groups: dict[int, list[int]] = {}
-    for i, core in enumerate(cores):
-        groups.setdefault(uf.find(index[core.letters[0][0]]), []).append(i)
-    return gen_groups, groups
-
-
-def _component_in_class(gens: list[str], relinfo: list) -> bool:
-    if not relinfo:
-        return len(gens) == 1  # a free cyclic factor
+def in_certified_class(p: Presentation) -> bool:
+    """True iff the relators follow the forest rule of the module
+    docstring: a free product of free and cyclic factors and of tree
+    amalgams with power relators on the leaves and u v w^-e links above."""
     powers: dict[str, int] = {}
-    defined: dict[str, tuple[str, str]] = {}
-    child_count: dict[str, int] = {}
-    for info in relinfo:
+    children: dict[str, tuple[str, str]] = {}
+    parent: dict[str, str] = {}
+    for r in p.relators:
+        core, _ = cyclic_reduce(r)
+        if not core:
+            continue
+        info = _classify_relator(core)
         if info is None:
             return False
         if info[0] == "power":
-            _, g, e = info
-            if g in powers:
+            if info[1] in powers:
                 return False
-            powers[g] = e
+            powers[info[1]] = info[2]
         else:
-            _, u, v, w, e = info
-            if w in defined:
+            _, u, v, w = info
+            if w in children or u in parent or v in parent:
                 return False
-            defined[w] = (u, v)
-            for child in (u, v):
-                child_count[child] = child_count.get(child, 0) + 1
-                if child_count[child] > 1:
-                    return False
-    if set(powers) & set(defined):
+            children[w] = (u, v)
+            parent[u] = parent[v] = w
+    if any(w in powers for w in children):
         return False
-    if not defined:
-        # a lone finite cyclic factor
-        return len(gens) == 1 and gens[0] in powers
-    # every generator is a leaf (power relator) or an internal node
-    for g in gens:
-        if g not in powers and g not in defined:
-            return False
-    if any(abs(e) < 2 for e in powers.values()):
-        return False  # a trivial child would collapse the amalgam
-    # tree shape: #nodes = 2 * #links + 1, single root, acyclic
-    if len(gens) != 2 * len(defined) + 1:
-        return False
-    roots = [g for g in gens if child_count.get(g, 0) == 0]
-    if len(roots) != 1 or roots[0] not in defined:
-        return False
-    # acyclicity by walking down from the root
-    seen = set()
-    stack = [roots[0]]
+    if any(abs(powers.get(g, 0)) < 2 for g in parent if g not in children):
+        return False  # a trivial or free child would collapse the amalgam
+    # each generator has one parent, so only a cycle is out of reach of the roots
+    reached: set[str] = set()
+    stack = [w for w in children if w not in parent]
     while stack:
-        g = stack.pop()
-        if g in seen:
-            return False
-        seen.add(g)
-        if g in defined:
-            stack.extend(defined[g])
-    return seen == set(gens)
-
-
-def in_certified_class(p: Presentation) -> bool:
-    """True iff every free-product component of the presentation is an
-    empty/free/cyclic factor or a tree-amalgam shape (power relators on
-    leaves, u v w^-e linking relators above)."""
-    cores = []
-    for r in p.relators:
-        core, _ = cyclic_reduce(r)
-        cores.append(core)
-    cores = [c for c in cores if c]
-    gen_groups, rel_groups = _components(p, cores)
-    for root, gens in gen_groups.items():
-        relinfo = [_classify_relator(cores[i]) for i in rel_groups.get(root, [])]
-        if not _component_in_class(gens, relinfo):
-            return False
-    return True
+        if (g := stack.pop()) not in reached:
+            reached.add(g)
+            stack.extend(children.get(g, ()))
+    return reached == children.keys() | parent.keys()
 
 
 # -- quotient step and torsion length --------------------------------------

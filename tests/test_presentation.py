@@ -62,7 +62,7 @@ def test_free_product_counts_add():
 def test_free_product_renames_clashes():
     r = free_product(P("x", "x x"), P("x", "x x x"))
     assert r.presentation.generators == ("x", "x_1")
-    assert r.right.images["x"] == Word.gen("x_1")
+    assert r.rename == {"x": "x_1"}
 
 
 def test_free_product_with_empty():
@@ -146,6 +146,15 @@ def test_eliminate_generator():
     q = P("a b t", "t^-1 a t b^-1", "b b b")
     out = eliminate_generator_with_image(q, "b", 0)[0]
     assert out == P("a t", "t^-1 a t t^-1 a t t^-1 a t")
+
+
+@pytest.mark.parametrize("index", [-1, -2, 2])
+def test_eliminate_rejects_an_index_outside_the_relators(index):
+    # a negative index used to pick a relator and then keep it, substituted
+    p = P("a b", "a b a^-1", "a a")
+    assert eliminate_generator_with_image(p, "b", 0)[0] == P("a", "a a")
+    with pytest.raises(PresentationError, match=f"no relator at index {index}$"):
+        eliminate_generator_with_image(p, "b", index)
 
 
 def test_eliminate_requires_single_occurrence():

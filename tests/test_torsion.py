@@ -231,6 +231,19 @@ def test_certified_class_membership():
     assert not in_certified_class(P("a b", "a b a^-1 b^-1"))
     # two power relators on the same generator: not a tree shape
     assert not in_certified_class(P("x", "x x", "x x x"))
+    link = "u v w^-1 w^-1"
+    for p, expected in [
+        (P("p q a b", "q a p^-1 p^-1", "p b q^-1 q^-1", "a a", "b b"), False),  # a cycle
+        (P("u v w s", link, "u v s^-1 s^-1", "u u", "v v"), False),  # a shared child
+        (P("u v w", link, "u u", "v v", "w w"), False),  # a head with a power
+        (P("u v w", link, "u", "v v"), False),  # a leaf of order 1
+        (P("u v w", link, "u u"), False),  # a leaf with no relator
+        (P("u v w", "u w^-1 v w^-1", "u u", "v v"), False),  # the block w^-2 split
+        (P("u v w", "u v w^-1", "u u", "v v"), False),  # a link with e = 1
+        (P("u v w", "w^-1 w^-1 u v", "u u", "v v"), True),  # a rotation
+        (P("u v w", "w w v^-1 u^-1", "u u", "v v"), True),  # the inverse
+    ]:
+        assert in_certified_class(p) == reference_in_certified_class(p) == expected
 
 
 def reference_in_certified_class(p):
