@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -24,6 +25,7 @@ from torlen.words import (
     cyclic_key,
     cyclic_reduce,
     cyclic_split_ints,
+    free_reduce,
     ints_to_word,
     invert_ints,
     reduce_ints,
@@ -537,8 +539,6 @@ def test_certificate_search_rejects_negative_budgets(budget):
 def test_certificate_verification_rejects_tampering():
     report = torsion_certificate_search(P("x", "x x"), level=1)
     cert = next(c for c in report.certificates if c.word == Word.gen("x"))
-    from dataclasses import replace
-
     assert not replace(cert, exponent=cert.exponent + 1).verify()
 
 
@@ -679,3 +679,119 @@ def test_certificate_search_matches_reference(
         certificate_fields(c) for c in expected.certificates
     ]
     assert report == expected
+
+
+# -- a frozen certificate checker ------------------------------------------
+
+
+def reference_certificate_error(cert, base_relators, checked):
+    """The certificate rules as the benchmark's reference states them,
+    frozen here over (name, sign) letter tuples: every factor's relator
+    is a base relator or adjoined, the conjugate product freely reduces
+    to word^exponent, adjoined cores and supporting certificates pair
+    up, each supporting certificate is one level down, its cyclic core
+    is its adjoined core up to rotation and inversion, and it passes the
+    same check.  Returns None when the certificate holds, else a reason."""
+
+    def reduce_letters(letters):
+        stack = []
+        for name, sign in letters:
+            if stack and stack[-1] == (name, -sign):
+                stack.pop()
+            else:
+                stack.append((name, sign))
+        return tuple(stack)
+
+    def invert(letters):
+        return tuple((name, -sign) for name, sign in reversed(letters))
+
+    def core_of(letters):
+        w = reduce_letters(letters)
+        while len(w) >= 2 and w[0] == (w[-1][0], -w[-1][1]):
+            w = w[1:-1]
+        return w
+
+    def rotation_up_to_inverse(a, b):
+        if len(a) != len(b):
+            return False
+        return not a or any(a == v[k:] + v[:k] for v in (b, invert(b)) for k in range(len(v)))
+
+    if id(cert) in checked:
+        return checked[id(cert)]
+    error = None
+    adjoined = {w.letters for w in cert.adjoined}
+    expanded = []
+    for conj, rel, sign in cert.factors:
+        if rel.letters not in base_relators and rel.letters not in adjoined:
+            error = "a factor relator is neither a base relator nor adjoined"
+            break
+        body = rel.letters if sign == 1 else invert(rel.letters)
+        expanded.extend(conj.letters + body + invert(conj.letters))
+    if error is None:
+        target = reduce_letters(cert.word.letters * cert.exponent)
+        if reduce_letters(tuple(expanded) + invert(target)):
+            error = "factors do not multiply to word^exponent"
+    if error is None and len(cert.adjoined) != len(cert.supporting):
+        error = "adjoined cores and supporting certificates differ in number"
+    if error is None:
+        for core, support in zip(cert.adjoined, cert.supporting):
+            if support.level != cert.level - 1:
+                error = "supporting certificate is not one level down"
+            elif not rotation_up_to_inverse(core.letters, core_of(support.word.letters)):
+                error = "adjoined core is not the core of its supporting certificate"
+            else:
+                error = reference_certificate_error(support, base_relators, checked)
+            if error:
+                break
+    checked[id(cert)] = error
+    return error
+
+
+def tampered_copies(p, cert):
+    """Copies of ``cert`` that each break one certificate rule."""
+    first_conj, first_rel, first_sign = cert.factors[0]
+    longest = max(map(len, p.relators + cert.adjoined), default=0)
+    not_a_relator = Word.gen(p.generators[0], longest + 1)
+    copies = [
+        replace(cert, exponent=cert.exponent + 1),
+        replace(cert, factors=((first_conj, not_a_relator, first_sign),) + cert.factors[1:]),
+        replace(cert, word=cert.word * Word.gen("q")),  # q is no generator of p
+    ]
+    if cert.supporting:
+        copies.append(
+            replace(cert, supporting=tuple(replace(s, level=cert.level) for s in cert.supporting))
+        )
+        copies.append(replace(cert, adjoined=(cert.adjoined[0] ** 2,) + cert.adjoined[1:]))
+    return copies
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(
+    small_presentations(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from((1, 4, 30, 200, 200_000)),  # small budgets leave the ball unexhausted
+)
+@example(build_pjkl(2, 2, 2), 2, 5, 6, 8, 200_000)
+@example(build_pjkl(2, 2, 2), 2, 5, 6, 8, 60)
+@example(build_pjkl(2, 3, 4), 1, 5, 6, 8, 200_000)
+def test_search_certificates_pass_the_reference_checker(
+    p, level, word_bound, exponent_bound, consequence_budget, max_states
+):
+    report = torsion_certificate_search(
+        p, level, word_bound, exponent_bound, consequence_budget, max_states
+    )
+    assert "q" not in p.generators
+    base = {free_reduce(r).letters for r in p.relators}
+    checked = {}
+    assert [reference_certificate_error(c, base, checked) for c in report.certificates] == [
+        None
+    ] * len(report.certificates)
+    certs = report.certificates
+    sample = {id(c): c for c in certs[:1] + certs[len(certs) // 2 :][:1] + certs[-1:]}
+    for cert in sample.values():
+        for bad in tampered_copies(p, cert):
+            assert reference_certificate_error(bad, base, {}) is not None
