@@ -25,6 +25,7 @@ conjugates of relators the words that have a power in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .consequences import closure_ball, verify_factors
 from .presentation import Presentation, kill_generators
@@ -35,6 +36,7 @@ from .words import (
     cyclic_reduce,
     cyclic_split_ints,
     ints_to_word,
+    reduce_ints,
     word_to_ints,
 )
 
@@ -68,34 +70,31 @@ def _classify_relator(core: Word):
     return None
 
 
-def in_certified_class(p: Presentation) -> bool:
-    """True iff the relators follow the forest rule of the module
-    docstring: a free product of free and cyclic factors and of tree
-    amalgams with power relators on the leaves and u v w^-e links above."""
+def _scan_relators(p: Presentation) -> tuple[bool, frozenset[str]]:
+    """Classify each relator once: whether ``p`` follows the forest rule
+    of the module docstring, and the generators with a power relator."""
     powers: dict[str, int] = {}
     children: dict[str, tuple[str, str]] = {}
     parent: dict[str, str] = {}
+    sound = True
     for r in p.relators:
         core, _ = cyclic_reduce(r)
-        if not core:
-            continue
         info = _classify_relator(core)
         if info is None:
-            return False
-        if info[0] == "power":
-            if info[1] in powers:
-                return False
+            sound = sound and not core
+        elif info[0] == "power":
+            sound = sound and info[1] not in powers
             powers[info[1]] = info[2]
         else:
             _, u, v, w = info
-            if w in children or u in parent or v in parent:
-                return False
+            sound = sound and not (w in children or u in parent or v in parent)
             children[w] = (u, v)
             parent[u] = parent[v] = w
-    if any(w in powers for w in children):
-        return False
+    visible = frozenset(powers)
+    if not sound or any(w in powers for w in children):
+        return False, visible
     if any(abs(powers.get(g, 0)) < 2 for g in parent if g not in children):
-        return False  # a trivial or free child would collapse the amalgam
+        return False, visible  # a trivial or free child would collapse the amalgam
     # each generator has one parent, so only a cycle is out of reach of the roots
     reached: set[str] = set()
     stack = [w for w in children if w not in parent]
@@ -103,7 +102,14 @@ def in_certified_class(p: Presentation) -> bool:
         if (g := stack.pop()) not in reached:
             reached.add(g)
             stack.extend(children.get(g, ()))
-    return reached == children.keys() | parent.keys()
+    return reached == children.keys() | parent.keys(), visible
+
+
+def in_certified_class(p: Presentation) -> bool:
+    """True iff the relators follow the forest rule of the module
+    docstring: a free product of free and cyclic factors and of tree
+    amalgams with power relators on the leaves and u v w^-e links above."""
+    return _scan_relators(p)[0]
 
 
 # -- quotient step and torsion length --------------------------------------
@@ -119,13 +125,7 @@ class QuotientStep:
 def visible_torsion_generators(p: Presentation) -> frozenset[str]:
     """Generators g with a power relator g^k (k >= 1) after cyclic
     reduction."""
-    out = set()
-    for r in p.relators:
-        core, _ = cyclic_reduce(r)
-        info = _classify_relator(core)
-        if info and info[0] == "power":
-            out.add(info[1])
-    return frozenset(out)
+    return _scan_relators(p)[1]
 
 
 def torsion_quotient_step(p: Presentation) -> QuotientStep:
@@ -136,11 +136,8 @@ def torsion_quotient_step(p: Presentation) -> QuotientStep:
     torsion subgroup; otherwise the quotient is only intermediate
     (killed generators are genuinely torsion either way).
     """
-    sound = in_certified_class(p)
-    victims = visible_torsion_generators(p)
-    if not victims:
-        return QuotientStep(p, frozenset(), sound)
-    return QuotientStep(kill_generators(p, victims), victims, sound)
+    sound, victims = _scan_relators(p)
+    return QuotientStep(kill_generators(p, victims) if victims else p, victims, sound)
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,8 @@ class TorsionCertificate:
         """Recheck the conjugate product by free reduction, here and in
         every supporting certificate.  Only the product: no relator is
         checked against a presentation, so a forged certificate for ``z``
-        whose one factor is ``z`` itself passes (ROADMAP item 1 plans a
-        presentation-aware checker)."""
+        whose one factor is ``z`` itself passes.  ``check_certificates``
+        is the check against the presentation."""
         if self._verified is None:
             words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
@@ -222,6 +219,52 @@ class TorsionCertificate:
             ok = ok and all(c.verify() for c in self.supporting)
             object.__setattr__(self, "_verified", ok)
         return self._verified
+
+
+def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificate]) -> list[bool]:
+    """Recheck each certificate from its own data and ``p`` alone: its
+    exponent is at least 1, each factor's relator is a freely reduced
+    relator of ``p`` or an adjoined core, the product reduces to
+    word^exponent, and each adjoined core is the ``cyclic_key`` of its
+    supporting certificate's word, one level down and holding too.  A
+    letter outside ``p`` fails.  Words, certificates and a level's shared
+    (adjoined, supporting) pair are checked once per call, by identity."""
+    certificates = list(certificates)  # keeps every keyed object alive
+    index = {g: i for i, g in enumerate(p.generators)}
+    base = {reduce_ints(word_to_ints(r, index)) for r in p.relators}
+    spelled: dict[int, IntWord | None] = {}
+    held: dict[int, bool] = {}
+    pairs: dict[tuple[int, int, int], frozenset[IntWord] | None] = {}
+
+    def ints(w: Word) -> IntWord | None:
+        if id(w) not in spelled:
+            spelled[id(w)] = word_to_ints(w, index) if w.symbols() <= index.keys() else None
+        return spelled[id(w)]
+
+    def holds(cert: TorsionCertificate) -> bool:
+        if id(cert) not in held:
+            key = (id(cert.adjoined), id(cert.supporting), cert.level)
+            if key not in pairs:
+                cores = [ints(w) for w in cert.adjoined]
+                ok = len(cores) == len(cert.supporting) and all(
+                    s.level == cert.level - 1 and holds(s) and core == cyclic_key(ints(s.word))
+                    for core, s in zip(cores, cert.supporting)
+                )
+                pairs[key] = frozenset(cores) if ok else None
+            adjoined, word = pairs[key], ints(cert.word)
+            relators = tuple(ints(r) for _, r, _ in cert.factors)
+            factors = [(ints(c), i, s) for i, (c, _, s) in enumerate(cert.factors)]
+            held[id(cert)] = (
+                adjoined is not None
+                and cert.exponent >= 1
+                and word is not None
+                and all(r in base or r in adjoined for r in relators)
+                and all(c is not None for c, _, _ in factors)
+                and verify_factors(word * cert.exponent, factors, relators)
+            )
+        return held[id(cert)]
+
+    return [holds(c) for c in certificates]
 
 
 @dataclass(frozen=True)
@@ -310,7 +353,6 @@ def torsion_certificate_search(
         for w in sorted(least, key=lambda w: (len(w), [2 * abs(x) - (x > 0) for x in w])):
             n, power = least[w]
             raw_factors = ball.factors(power)
-            assert verify_factors(power, raw_factors, ball.relators)
             for c, _, _ in raw_factors:
                 if c not in spelled:
                     spelled[c] = ints_to_word(c, names)

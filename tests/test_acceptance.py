@@ -43,6 +43,7 @@ from torlen.presentation import (
 )
 from torlen.stallings import build_subgroup_graph, closure_members, membership
 from torlen.torsion import (
+    check_certificates,
     torsion_certificate_search,
     torsion_length,
     torsion_quotient_step,
@@ -262,6 +263,8 @@ def test_criterion_12_torsion_certificates():
         assert "z" in words2
         for c in level1.certificates + level2.certificates:
             assert c.verify()
+        assert all(check_certificates(p, level1.certificates))
+        assert all(check_certificates(p, level2.certificates))
 
 
 def test_criterion_13_free_product_compatibility():

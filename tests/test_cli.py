@@ -9,6 +9,8 @@ import pytest
 
 from torlen import cli
 from torlen.cli import main
+from torlen.torsion import CertificateSearchReport, TorsionCertificate
+from torlen.words import Word
 
 PJKL_222 = "gens: x y z\nrel: x x\nrel: y y\nrel: x y z^-1 z^-1\n"
 
@@ -219,6 +221,22 @@ def test_tampered_supporting_certificate_fails_its_dependents(tmp_path, capsys, 
     verified = [c["verified"] for c in json.loads(out)["certificates"]]
     assert any(dependent) and len(verified) == len(dependent)
     assert verified == [not d for d in dependent]
+
+
+def test_forged_certificate_is_reported_unverified(tmp_path, capsys, monkeypatch):
+    z, empty = Word.gen("z"), Word.empty()
+    forged = TorsionCertificate(z, 1, 1, ((empty, z, 1),))  # z is no relator of P_{2,2,2}
+
+    def search_returning_a_forgery(*args, **kwargs):
+        return CertificateSearchReport(1, 6, 6, 8, True, (forged,))
+
+    monkeypatch.setattr(cli, "torsion_certificate_search", search_returning_a_forgery)
+    path = tmp_path / "p.txt"
+    path.write_text(PJKL_222)
+    code, out, _ = run(capsys, "torsion-search", str(path))
+    assert code == 0
+    (cert,) = json.loads(out)["certificates"]
+    assert cert["word"] == "z" and cert["verified"] is False
 
 
 def test_parser_is_built_once():

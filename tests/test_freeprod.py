@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from torlen.freeprod import (
     CyclicFactorSpec,
@@ -17,7 +18,9 @@ from torlen.freeprod import (
     normal_form,
     ping_pong_free_check,
 )
-from torlen.words import Word
+from torlen.coset import todd_coxeter
+from torlen.presentation import Presentation
+from torlen.words import Word, free_reduce
 
 C22 = CyclicFactorSpec.from_text("factors: x:2 y:2")
 C23 = CyclicFactorSpec.from_text("factors: x:2 y:3")
@@ -204,3 +207,66 @@ def test_conjugates_of_a_freely_generate():
     u = Word.from_text("b^-1 a b")
     v = Word.from_text("b^-1 b^-1 a b b")
     assert ping_pong_free_check(spec, u, v, 6)
+
+
+# (p, q, k) with 1/p + 1/q + 1/k > 1: <x, y | x^p, y^q, (x y)^k> is a finite
+# triangle group of order 2 / (1/p + 1/q + 1/k - 1), a quotient of C_p * C_q
+SPHERICAL = [
+    (p, q, k)
+    for p, q, k in itertools.product(range(2, 6), repeat=3)
+    if q * k + p * k + p * q > p * q * k
+]
+LETTERS = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+
+
+@st.composite
+def triangles_and_words(draw):
+    """A triangle (p, q, k), a word u, and a word v that is either u with a
+    few p-th powers of x, q-th powers of y and cancelling pairs put in
+    (equal to u in C_p * C_q) or drawn on its own."""
+    p, q, k = draw(st.sampled_from(SPHERICAL))
+    u = draw(st.lists(st.sampled_from(LETTERS), max_size=10))
+    derived = draw(st.booleans())
+    v = list(u) if derived else draw(st.lists(st.sampled_from(LETTERS), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if derived else 0):
+        name, sign = draw(st.sampled_from(LETTERS))
+        if draw(st.booleans()):
+            piece = [(name, sign)] * (p if name == "x" else q)
+        else:
+            piece = [(name, sign), (name, -sign)]
+        pos = draw(st.integers(min_value=0, max_value=len(v)))
+        v[pos:pos] = piece
+    return (p, q, k), Word(tuple(u)), Word(tuple(v)), derived
+
+
+@seed(20)
+@settings(max_examples=200, deadline=None)
+@given(triangles_and_words())
+def test_equal_normal_forms_act_equally_on_a_finite_quotient(case):
+    (p, q, k), u, v, derived = case
+    spec = CyclicFactorSpec((("x", p), ("y", q)))
+    form = normal_form(spec, u)
+    assert form == normal_form(spec, free_reduce(u))
+    assert normal_form(spec, form.to_word(spec)) == form
+    quotient = Presentation(
+        ("x", "y"), (Word.gen("x", p), Word.gen("y", q), Word.from_text("x y") ** k)
+    )
+    table = todd_coxeter(quotient)
+    assert table.status == "complete"
+    assert table.index * (q * k + p * k + p * q - p * q * k) == 2 * p * q * k
+    column = {"x": 0, "y": 2}
+
+    def fixes_every_coset(w):
+        for coset in range(table.index):
+            c = coset
+            for name, sign in w.letters:
+                c = table.rows[c][column[name] + (sign < 0)]
+            if c != coset:
+                return False
+        return True
+
+    assert fixes_every_coset(u * form.to_word(spec).inverse())
+    if derived:
+        assert normal_form(spec, v) == form
+    if normal_form(spec, v) == form:
+        assert fixes_every_coset(u * v.inverse())

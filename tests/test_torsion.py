@@ -14,6 +14,7 @@ from torlen.stallings import UnionFind
 from torlen.torsion import (
     CertificateSearchReport,
     TorsionCertificate,
+    check_certificates,
     in_certified_class,
     torsion_certificate_search,
     torsion_length,
@@ -790,8 +791,46 @@ def test_search_certificates_pass_the_reference_checker(
     assert [reference_certificate_error(c, base, checked) for c in report.certificates] == [
         None
     ] * len(report.certificates)
+    assert check_certificates(p, report.certificates) == [True] * len(report.certificates)
     certs = report.certificates
     sample = {id(c): c for c in certs[:1] + certs[len(certs) // 2 :][:1] + certs[-1:]}
     for cert in sample.values():
         for bad in tampered_copies(p, cert):
             assert reference_certificate_error(bad, base, {}) is not None
+            assert check_certificates(p, [bad]) == [False]
+
+
+def test_forged_certificate_fails_the_checker_but_not_verify():
+    p = build_pjkl(2, 2, 2)
+    z, q, empty = Word.gen("z"), Word.gen("q"), Word.empty()
+    forged = TorsionCertificate(z, 1, 1, ((empty, z, 1),))
+    assert check_certificates(p, [forged]) == [False]
+    assert forged.verify()  # verify() checks the product only, as documented
+    # a letter outside the presentation fails the certificate, and raises nothing
+    assert check_certificates(p, [TorsionCertificate(q, 1, 1, ((empty, q, 1),))]) == [False]
+    # w^0 = 1 says nothing about the order of w
+    assert check_certificates(p, [TorsionCertificate(z, 0, 1, ())]) == [False]
+
+
+def test_checker_rechecks_a_shared_pair_once(monkeypatch):
+    p = build_pjkl(2, 2, 2)
+    report = torsion_certificate_search(p, level=2, word_bound=4)
+    supporting = {id(s): s for c in report.certificates for s in c.supporting}
+    calls = []
+    real = torsion.verify_factors
+    monkeypatch.setattr(
+        torsion, "verify_factors", lambda *args: calls.append(1) or real(*args)
+    )
+    assert all(check_certificates(p, report.certificates))
+    assert len(calls) == len(report.certificates) + len(supporting)
+    # a supporting certificate one level off fails every certificate it backs
+    victim = report.certificates[0].supporting[0]
+    moved = replace(victim, level=2)
+    certs = [
+        replace(c, supporting=tuple(moved if s is victim else s for s in c.supporting))
+        for c in report.certificates
+    ]
+    assert check_certificates(p, certs) == [victim not in c.supporting for c in report.certificates]
+    # a copy one level up shares its (adjoined, supporting) pair with the original
+    z = next(c for c in report.certificates if c.word == Word.gen("z"))
+    assert check_certificates(p, [z, replace(z, level=3)]) == [True, False]
