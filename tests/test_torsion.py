@@ -143,6 +143,14 @@ small_relators = st.lists(
 @example([(1, 1, 2, -1, -1), (2, 2)], 2, 4, 3, 2000)
 @example([(2, 1, -2)], 2, 4, 3, 50)  # a conjugation that cancels at the right end only
 @example([(2,)], 2, 4, 3, 2000)  # b inserted after the b^-1 of a b^-1 a^-1 leaves the empty word
+# the level-2 P_{2,2,2} relators x^2, y^2, x y z^-2 and the adjoined cores
+# x^-1, y^-1: most inserts cancel at a seam, and at max_len 5 the state
+# budget fires
+@example([(1, 1), (2, 2), (1, 2, -3, -3), (-1,), (-2,)], 3, 4, 3, 2000)
+@example([(1, 1), (2, 2), (1, 2, -3, -3), (-1,), (-2,)], 3, 5, 4, 2000)
+# an insert whose left seam cancels, whose shift one place left cancels
+# there too, and whose shift two places left does not
+@example([(-1, -2, 3)], 3, 4, 3, 2000)
 def test_closure_ball_matches_whole_word_reduction(
     relators, n_generators, max_len, max_depth, max_states
 ):
