@@ -67,7 +67,6 @@ from .torsion import (
     torsion_certificate_search,
     torsion_length,
     torsion_quotient_step,
-    visible_torsion_generators,
 )
 from .words import (
     Word,

@@ -17,13 +17,14 @@ from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 # Moves are recorded as:
 #   ("ins", position, relator_index, sign, rotation) -- insert a cyclic
 #       rotation of relator^sign at the given position.  The word and the
-#       rotation (reduced once, up front) are both reduced, so letters
-#       cancel only at the two seams.  The left seam is reduced only if
-#       the rotation starts with the inverse of the letter before the
-#       position; the right one only if the result so far ends with the
-#       inverse of the letter after it (a rotation cancelled away whole
-#       lets the word's letters meet).  Otherwise the child is the plain
-#       concatenation, of length len(word) + len(rotation).
+#       rotation (reduced once, up front) are both reduced.  A rotation
+#       x^-1 s is never inserted after a letter x: the rotation s x^-1 one
+#       position earlier gives the same child, from the same word, and is
+#       tried first (if its left seam cancels too, shift again; position 0
+#       has no left seam).  So letters cancel only at the right seam, when
+#       the rotation ends with the inverse of the letter after the
+#       position.  Otherwise the child is the plain concatenation, of
+#       length len(word) + len(rotation).
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
 #       ends, and only if the word starts with -letter or ends with
@@ -105,18 +106,22 @@ def closure_ball(
     relators, keeping words of length <= max_len, up to max_depth moves
     and max_states distinct states.
 
-    A child is built only if it can fit: a move that cancels at no seam
-    (or end) lengthens the word by exactly the inserted length, so it
-    is skipped when that overshoots max_len; a move that cancels is
-    built and then checked.  Children are tried in the same order, and
-    the state budget fires at the same child, as if every child were
-    built and the long ones dropped.
+    A child is built only if it can be new and fit.  An insertion that
+    cancels at its left seam never is (see the move comment above).  A
+    move that cancels at no seam (or end) lengthens the word by exactly
+    the inserted length, so it is skipped when that overshoots max_len;
+    a move that cancels is built and then checked.  States are found in
+    the same order, and the state budget fires at the same child, as if
+    every child were built and the long ones dropped.
 
     ``exhausted`` is False when the state budget was hit, i.e. absence
     from the ball is then evidence only at the explored budget.
     """
     if max_len < 0 or max_depth < 0 or max_states < 1:
         raise ValueError("max_len and max_depth must be >= 0, max_states >= 1")
+    # 0 would read as the end of a word, so it must not be a letter
+    if any(not 0 < abs(x) <= n_generators for r in relators for x in r):
+        raise ValueError("relator letters must be nonzero and at most n_generators in size")
     rels = tuple(reduce_ints(r) for r in relators)
     ball = ClosureBall(rels)
     parents = ball.parents
@@ -136,9 +141,10 @@ def closure_ball(
     # fits[(room, before, after)]: the insertion moves, in ins_moves
     # order, whose child can fit when room = max_len - len(word) and the
     # word reads `before` and `after` on either side of the insertion
-    # point (0 at an end of the word): those no longer than room, and
-    # those that cancel at a seam.  There are at most
-    # (max_len+1)(2g+1)^2 keys, and the lists share ins_moves' tuples.
+    # point (0 at an end of the word): those that do not cancel at the
+    # left seam and are no longer than room or cancel at the right seam.
+    # There are at most (max_len+1)(2g+1)^2 keys, and the lists share
+    # ins_moves' tuples.
     fits: dict[tuple[int, int, int], list[tuple[int, int, int, IntWord]]] = {}
     queue: deque[tuple[IntWord, int]] = deque([((), 0)])
     while queue:
@@ -155,13 +161,12 @@ def closure_ball(
                 moves = fits[room, before, after] = []
                 for move in ins_moves:
                     rotated = move[3]
-                    if len(rotated) <= room or rotated[0] == -before or rotated[-1] == -after:
+                    if rotated[0] != -before and (len(rotated) <= room or rotated[-1] == -after):
                         moves.append(move)
             head, tail = word[:pos], word[pos:]
             for ridx, sign, rot, rotated in moves:
-                if rotated[0] == -before or rotated[-1] == -after:
-                    new = multiply_ints(head, rotated) if rotated[0] == -before else head + rotated
-                    new = multiply_ints(new, tail) if new and new[-1] == -after else new + tail
+                if rotated[-1] == -after:
+                    new = multiply_ints(head + rotated, tail)
                     if len(new) > max_len:
                         continue
                 else:

@@ -122,12 +122,6 @@ class QuotientStep:
     sound: bool
 
 
-def visible_torsion_generators(p: Presentation) -> frozenset[str]:
-    """Generators g with a power relator g^k (k >= 1) after cyclic
-    reduction."""
-    return _scan_relators(p)[1]
-
-
 def torsion_quotient_step(p: Presentation) -> QuotientStep:
     """Kill all visible torsion generators.
 

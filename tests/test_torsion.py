@@ -2,6 +2,7 @@ import random
 from collections import deque
 from dataclasses import replace
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -9,7 +10,14 @@ from hypothesis import example, given, seed, settings, strategies as st
 from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
-from torlen.presentation import Presentation, canonicalize, free_product
+from torlen.freeprod import CyclicFactorSpec, normal_form
+from torlen.presentation import (
+    Presentation,
+    abelianization,
+    adjoin_relators,
+    canonicalize,
+    free_product,
+)
 from torlen.stallings import UnionFind
 from torlen.torsion import (
     CertificateSearchReport,
@@ -19,7 +27,6 @@ from torlen.torsion import (
     torsion_certificate_search,
     torsion_length,
     torsion_quotient_step,
-    visible_torsion_generators,
 )
 from torlen.words import (
     Word,
@@ -30,6 +37,7 @@ from torlen.words import (
     ints_to_word,
     invert_ints,
     reduce_ints,
+    substitute,
     word_to_ints,
 )
 
@@ -220,11 +228,19 @@ def test_closure_ball_equality_and_repr_ignore_kept_factors():
         dict(max_len=-1, max_depth=3),  # would hold the empty word, longer than the bound
         dict(max_len=2, max_depth=-2),
         dict(max_len=2, max_depth=3, max_states=0),  # would hold one state over budget
+        # 0 reads as the end of a word: x^0 was a consequence, and so was y x^0 y^-1
+        dict(relators=[(0,)], max_len=3, max_depth=2),
+        dict(relators=[(1, 5)], max_len=3, max_depth=2),  # x_5 in a one-generator ball
     ],
 )
 def test_closure_ball_rejects_budgets_it_cannot_honour(budgets):
-    with pytest.raises(ValueError, match="max_len and max_depth must be >= 0, max_states >= 1"):
-        closure_ball([(1, 1)], 1, **budgets)
+    args = dict(relators=[(1, 1)], n_generators=1) | budgets
+    if "relators" in budgets:
+        message = "relator letters must be nonzero and at most n_generators in size"
+    else:
+        message = "max_len and max_depth must be >= 0, max_states >= 1"
+    with pytest.raises(ValueError, match=message):
+        closure_ball(**args)
     ball = closure_ball([(1, 1)], 1, max_len=0, max_depth=0, max_states=1)
     assert ball.parents == {(): ((), ("root",))} and ball.exhausted
 
@@ -403,10 +419,10 @@ def test_certified_class_matches_reference_on_the_families():
 
 def test_visible_torsion_generators():
     p = build_pjkl(2, 3, 4)
-    assert visible_torsion_generators(p) == {"x", "y"}
-    assert visible_torsion_generators(P("a b")) == frozenset()
+    assert torsion_quotient_step(p).killed == {"x", "y"}
+    assert torsion_quotient_step(P("a b")).killed == frozenset()
     # power relator hidden behind a conjugation is still visible
-    assert visible_torsion_generators(P("x y", "y^-1 x x y")) == {"x"}
+    assert torsion_quotient_step(P("x y", "y^-1 x x y")).killed == {"x"}
 
 
 def test_quotient_step_pjkl():
@@ -533,6 +549,39 @@ def test_certificates_free_group_empty():
     assert report.certificates == ()
     report2 = torsion_certificate_search(P("a b"), level=2)
     assert report2.certificates == ()
+
+
+def dies_in(q, w):
+    """Whether the word ``w`` over ``q``'s generators is trivial in ``q``:
+    exactly when every relator core is a power (a free product of cyclic
+    groups, or free), else only in the abelianization."""
+    cores = [cyclic_reduce(r)[0] for r in q.relators]
+    if any(len(set(core.letters)) > 1 for core in cores):
+        # finitely generated abelian groups are Hopfian, so this holds iff
+        # the image of w in the abelianization is 0
+        return abelianization(adjoin_relators(q, [w])) == abelianization(q)
+    orders = dict.fromkeys(q.generators, 0)
+    for core in cores:
+        orders[core.letters[0][0]] = gcd(orders[core.letters[0][0]], len(core))
+    w = substitute(w, {g: Word() for g, order in orders.items() if order == 1})
+    spec = CyclicFactorSpec(tuple((g, order or None) for g, order in orders.items() if order != 1))
+    return not normal_form(spec, w)
+
+
+@pytest.mark.parametrize("p", [build_pjkl(2, 2, 2), build_pjkl(2, 3, 4), build_pn(3)])
+def test_certificates_die_in_their_quotient(p):
+    # the recognizer and the consequence ball are two engines: a level-i
+    # certificate word must be trivial in the i-th torsion quotient Q_i
+    report = torsion_length(p)
+    assert report.exact
+    killed = [set()]  # the generators killed in steps 1..i
+    for _, step_killed, _ in report.trace:
+        killed.append(killed[-1] | step_killed)
+    for level in range(1, report.value + 1):
+        for cert in torsion_certificate_search(p, level=level, word_bound=4).certificates:
+            q = report.trace[cert.level - 1][2]
+            image = substitute(cert.word, {g: Word() for g in killed[cert.level]})
+            assert dies_in(q, image), (cert.word, cert.level)
 
 
 @pytest.mark.parametrize("budget", ["word_bound", "exponent_bound", "consequence_budget"])
