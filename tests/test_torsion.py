@@ -228,7 +228,7 @@ def test_closure_ball_equality_and_repr_ignore_kept_factors():
         dict(max_len=-1, max_depth=3),  # would hold the empty word, longer than the bound
         dict(max_len=2, max_depth=-2),
         dict(max_len=2, max_depth=3, max_states=0),  # would hold one state over budget
-        # 0 reads as the end of a word: x^0 was a consequence, and so was y x^0 y^-1
+        # 0 reads as the end of a word: the ball held (0,) and its conjugates by x
         dict(relators=[(0,)], max_len=3, max_depth=2),
         dict(relators=[(1, 5)], max_len=3, max_depth=2),  # x_5 in a one-generator ball
     ],
