@@ -891,3 +891,47 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     # a copy one level up shares its (adjoined, supporting) pair with the original
     z = next(c for c in report.certificates if c.word == Word.gen("z"))
     assert check_certificates(p, [z, replace(z, level=3)]) == [True, False]
+
+
+def test_checker_judges_shared_words_per_certificate():
+    # certificates that share Word objects, so a checker that remembers
+    # anything by identity must still apply every rule to each one
+    p = build_pjkl(2, 2, 2)
+    base = {free_reduce(r).letters for r in p.relators}
+    empty, x, y = Word.empty(), Word.gen("x"), Word.gen("y")
+    xx = p.relators[0]
+    # one conjugator and one relator object, with opposite signs, and
+    # the relator object with another conjugator
+    up = TorsionCertificate(y * x * y.inverse(), 2, 1, ((y, xx, 1),))
+    plain = TorsionCertificate(x, 2, 1, ((empty, xx, 1),))
+    down = TorsionCertificate(y * x.inverse() * y.inverse(), 2, 1, ((y, xx, -1),))
+    both = TorsionCertificate(empty, 1, 1, ((y, xx, 1), (y, xx, -1)))
+    # one adjoined core object, valid at level 2 and forged at level 1
+    level2 = torsion_certificate_search(p, level=2, word_bound=4).certificates
+    z = next(c for c in level2 if c.word == Word.gen("z"))
+    core = z.adjoined[0]
+    own = replace(z, word=core, exponent=1, factors=((empty, core, 1),))
+    forged = TorsionCertificate(core, 1, 1, ((empty, core, 1),))
+    # words and conjugators that are not freely reduced
+    loose = TorsionCertificate(
+        Word.from_text("y x x^-1 x y^-1"), 2, 1, ((Word.from_text("y x^-1 x"), xx, 1),)
+    )
+    unreduced_relator = Word.from_text("x x^-1 x x")
+    certs = [
+        up,
+        plain,
+        down,
+        replace(up, factors=down.factors),
+        both,
+        own,
+        forged,
+        loose,
+        replace(loose, exponent=3),
+        TorsionCertificate(Word.from_text("x x^-1"), 1, 1, ()),
+        replace(loose, factors=((loose.factors[0][0], unreduced_relator, 1),)),
+    ]
+    expected = [True, True, True, False, True, True, False, True, False, True, False]
+    assert [reference_certificate_error(c, base, {}) is None for c in certs] == expected
+    assert check_certificates(p, certs) == expected
+    assert check_certificates(p, certs[::-1]) == expected[::-1]
+    assert [check_certificates(p, [c]) for c in certs] == [[e] for e in expected]
