@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 
@@ -84,17 +85,6 @@ class ClosureBall:
         return list(factors)
 
 
-def _rotations(rel: IntWord) -> list[tuple[int, IntWord]]:
-    seen = set()
-    out = []
-    for k in range(len(rel)):
-        rot = rel[k:] + rel[:k]
-        if rot not in seen:
-            seen.add(rot)
-            out.append((k, rot))
-    return out
-
-
 def closure_ball(
     relators: list[IntWord],
     n_generators: int,
@@ -131,7 +121,11 @@ def closure_ball(
         if not rel:
             continue
         for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
-            for rot, rotated in _rotations(oriented):
+            # each distinct rotation once, at its first offset
+            offsets: dict[IntWord, int] = {}
+            for k in range(len(oriented)):
+                offsets.setdefault(oriented[k:] + oriented[:k], k)
+            for rotated, rot in offsets.items():
                 # a rotation of a relator that is not cyclically reduced
                 # is not reduced itself
                 ins_moves.append((ridx, sign, rot, reduce_ints(rotated)))
@@ -195,12 +189,14 @@ def closure_ball(
     return ball
 
 
+def conjugate_ints(conj: IntWord, rel: IntWord, sign: int) -> IntWord:
+    """The free reduction of ``conj rel^sign conj^-1`` (``rel^-1`` unless sign is 1)."""
+    return reduce_ints(conj + (rel if sign == 1 else invert_ints(rel)) + invert_ints(conj))
+
+
 def verify_factors(
     target: IntWord, factors: list[tuple[IntWord, int, int]], relators: tuple[IntWord, ...]
 ) -> bool:
-    """Independent check: expand the conjugate product and freely reduce."""
-    expanded: list[int] = []
-    for conj, ridx, sign in factors:
-        rel = relators[ridx] if sign == 1 else invert_ints(relators[ridx])
-        expanded.extend(conj + rel + invert_ints(conj))
-    return reduce_ints(tuple(expanded) + invert_ints(reduce_ints(target))) == ()
+    """Independent check: multiply the reduced conjugates, then compare."""
+    conjugates = (conjugate_ints(c, relators[i], s) for c, i, s in factors)
+    return reduce(multiply_ints, conjugates, ()) == reduce_ints(target)

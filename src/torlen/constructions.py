@@ -121,17 +121,13 @@ def build_tgen(p: Presentation) -> TgenResult:
         pairs.append((Word.gen(g) * b ** (-i) * a * b**i, a ** (-i) * b * a**i))
     intermediate = hnn_presentation(base, pairs, "t")
 
-    # eliminate b via the i = 0 pair relator, then each x_i via its own
+    # eliminate b via the i = 0 pair relator, then each x_i via its own:
+    # each elimination drops its pair relator, so the next pair relator
+    # is always at index len(relators)
     current = intermediate
     images: dict[str, Word] = {}
-    first_pair_index = len(relators)
-    current, b_image = eliminate_generator_with_image(current, "b", first_pair_index)
-    images["b"] = b_image
-    for g in gens:
-        # each elimination drops its pair relator, so the next pair
-        # relator is always at index len(relators)
-        current, g_image = eliminate_generator_with_image(current, g, len(relators))
-        images[g] = g_image
+    for g in ("b",) + gens:
+        current, images[g] = eliminate_generator_with_image(current, g, len(relators))
     out_images = {g: images[rename[g]] for g in p.generators}
     return TgenResult(current, intermediate, out_images)
 

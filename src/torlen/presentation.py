@@ -114,8 +114,7 @@ def kill_generators(p: Presentation, victims: Iterable[str]) -> Presentation:
     """Quotient by the normal closure of the victim generators, then
     simplify: victims vanish from relators, empty relators are dropped."""
     victims = set(victims)
-    extra = victims - set(p.generators)
-    if extra:
+    if extra := victims - set(p.generators):
         raise PresentationError(f"cannot kill undeclared generator(s) {sorted(extra)}")
     gens = tuple(g for g in p.generators if g not in victims)
     rels = []
@@ -219,14 +218,9 @@ def canonicalize(p: Presentation) -> Presentation:
 def _relabel(p, rotated, order):
     kept = sorted(p.generators, key=order.__getitem__)
     names = {g: f"g{i}" for i, g in enumerate(kept)}
-    rels = []
-    seen = set()
-    for w in rotated:
-        new = _word(tuple((names[g], s) for g, s in w.letters))
-        if new.letters not in seen:
-            seen.add(new.letters)
-            rels.append(new)
-    return _presentation(tuple(names[g] for g in kept), tuple(rels))
+    # each relator once, at its first place
+    rels = dict.fromkeys(tuple((names[g], s) for g, s in w.letters) for w in rotated)
+    return _presentation(tuple(names[g] for g in kept), tuple(map(_word, rels)))
 
 
 # -- abelianization -------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .consequences import closure_ball, verify_factors
+from .consequences import closure_ball, conjugate_ints, verify_factors
 from .presentation import Presentation, kill_generators
 from .words import (
     IntWord,
@@ -36,6 +36,8 @@ from .words import (
     cyclic_reduce,
     cyclic_split_ints,
     ints_to_word,
+    invert_ints,
+    multiply_ints,
     reduce_ints,
     word_to_ints,
 )
@@ -208,11 +210,21 @@ class TorsionCertificate:
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
             relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
             factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
-            target = word_to_ints(self.word**self.exponent, index)
-            ok = verify_factors(target, factors, relators)
+            limit = sum(2 * len(c) + len(r) for (c, _, _), r in zip(factors, relators))
+            target = _reduced_power(word_to_ints(self.word, index), self.exponent, limit)
+            ok = target is not None and verify_factors(target, factors, relators)
             ok = ok and all(c.verify() for c in self.supporting)
             object.__setattr__(self, "_verified", ok)
         return self._verified
+
+
+def _reduced_power(word: IntWord, n: int, limit: int) -> IntWord | None:
+    """The free reduction of word^n, or None when it is longer than
+    ``limit``; built only when it fits, so a forged exponent costs nothing."""
+    if n < 0:
+        word, n = invert_ints(word), -n
+    head, core, tail = cyclic_split_ints(reduce_ints(word)) if n else ((), (), ())
+    return head + core * n + tail if 2 * len(head) + n * len(core) <= limit else None
 
 
 def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificate]) -> list[bool]:
@@ -221,14 +233,16 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     relator of ``p`` or an adjoined core, the product reduces to
     word^exponent, and each adjoined core is the ``cyclic_key`` of its
     supporting certificate's word, one level down and holding too.  A
-    letter outside ``p`` fails.  Words, certificates and a level's shared
-    (adjoined, supporting) pair are checked once per call, by identity."""
+    letter outside ``p`` fails.  Words, conjugates, certificates and a
+    level's shared (adjoined, supporting) pair are handled once per call,
+    by identity; nothing outlives the call."""
     certificates = list(certificates)  # keeps every keyed object alive
     index = {g: i for i, g in enumerate(p.generators)}
     base = {reduce_ints(word_to_ints(r, index)) for r in p.relators}
     spelled: dict[int, IntWord | None] = {}
     held: dict[int, bool] = {}
     pairs: dict[tuple[int, int, int], frozenset[IntWord] | None] = {}
+    conjugates: dict[tuple[int, int, int], tuple[IntWord | None, IntWord | None]] = {}
 
     def ints(w: Word) -> IntWord | None:
         if id(w) not in spelled:
@@ -244,18 +258,23 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
                     s.level == cert.level - 1 and holds(s) and core == cyclic_key(ints(s.word))
                     for core, s in zip(cores, cert.supporting)
                 )
-                pairs[key] = frozenset(cores) if ok else None
-            adjoined, word = pairs[key], ints(cert.word)
-            relators = tuple(ints(r) for _, r, _ in cert.factors)
-            factors = [(ints(c), i, s) for i, (c, _, s) in enumerate(cert.factors)]
-            held[id(cert)] = (
-                adjoined is not None
-                and cert.exponent >= 1
-                and word is not None
-                and all(r in base or r in adjoined for r in relators)
-                and all(c is not None for c, _, _ in factors)
-                and verify_factors(word * cert.exponent, factors, relators)
-            )
+                pairs[key] = frozenset(cores).union(base) if ok else None
+            allowed, word = pairs[key], ints(cert.word)
+            ok = allowed is not None and cert.exponent >= 1 and word is not None
+            product: IntWord = ()
+            for c, r, sign in cert.factors if ok else ():
+                triple = (id(c), id(r), sign)
+                if triple not in conjugates:
+                    conj, rel = ints(c), ints(r)
+                    known = conj is not None and rel is not None
+                    conjugates[triple] = rel, conjugate_ints(conj, rel, sign) if known else None
+                relator, conjugate = conjugates[triple]
+                # membership is per certificate: it depends on the adjoined cores
+                if conjugate is None or relator not in allowed:
+                    ok = False
+                    break
+                product = multiply_ints(product, conjugate)
+            held[id(cert)] = ok and product == _reduced_power(word, cert.exponent, len(product))
         return held[id(cert)]
 
     return [holds(c) for c in certificates]
@@ -307,19 +326,16 @@ def torsion_certificate_search(
     by_core: dict[IntWord, TorsionCertificate] = {}
     exhaustive = True
     for current_level in range(1, level + 1):
-        if current_level > 1:
-            existing = {cyclic_key(r) for r in relators}
-            adjoined = []
-            for core, cert in sorted(by_core.items(), key=lambda kv: (len(kv[0]), kv[0])):
-                if core not in existing:
-                    existing.add(core)
-                    adjoined.append((core, cert))
-            relators = relators + [core for core, _ in adjoined]
-            adjoined_words = tuple(ints_to_word(core, names) for core, _ in adjoined)
-            supporting = tuple(cert for _, cert in adjoined)
-        else:
-            adjoined_words = ()
-            supporting = ()
+        # level 1 has no lower-level words to adjoin
+        existing = {cyclic_key(r) for r in relators}
+        adjoined = []
+        for core, cert in sorted(by_core.items(), key=lambda kv: (len(kv[0]), kv[0])):
+            if core not in existing:
+                existing.add(core)
+                adjoined.append((core, cert))
+        relators = relators + [core for core, _ in adjoined]
+        adjoined_words = tuple(ints_to_word(core, names) for core, _ in adjoined)
+        supporting = tuple(cert for _, cert in adjoined)
 
         ball = closure_ball(
             relators,

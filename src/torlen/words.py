@@ -81,9 +81,7 @@ class Word:
     def gen(cls, name: str, exponent: int = 1) -> "Word":
         """The word name^exponent (no reduction needed)."""
         check_symbol(name)
-        if exponent >= 0:
-            return _word(((name, 1),) * exponent)
-        return _word(((name, -1),) * (-exponent))
+        return _word(((name, 1 if exponent >= 0 else -1),) * abs(exponent))
 
     @classmethod
     def from_text(cls, text: str) -> "Word":

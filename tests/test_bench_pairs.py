@@ -54,3 +54,53 @@ def test_main_prints_a_verdict_per_end_to_end_metric(tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert "invariants wall_s: worse (bound 15%)" in out
     assert "invariants job_p50_ms: within bound (bound 25%)" in out
+
+
+@pytest.mark.parametrize(
+    "before, after, better, expected",
+    [
+        # better in 10/10 pairs by more than the parent IQR
+        ([1.0, 1.1, 0.9, 1.0] * 2 + [1.0, 1.0], [0.8] * 10, "lower", "gain"),
+        ([1.0] * 10, [1.2] * 10, "higher", "gain"),
+        # better in 9/10: still a gain; in 8/10 or with ties: not
+        ([1.0] * 10, [0.8] * 9 + [1.1], "lower", "gain"),
+        ([1.0] * 10, [0.8] * 8 + [1.1] * 2, "lower", "no gain"),
+        ([1.0] * 10, [0.8] * 8 + [1.0] * 2, "lower", "no gain"),
+        # better in every pair, but by less than the parent IQR
+        ([1.0, 1.4, 0.7, 1.2] * 2 + [1.0, 1.0], [0.9, 1.3, 0.6, 1.1] * 2 + [0.9, 0.9], "lower",
+         "no gain"),
+    ],
+)
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_over_the_parent_iqr(
+    before, after, better, expected
+):
+    assert bench_pairs.gain(before, after, better) == expected
+
+
+def test_main_prints_a_gain_verdict_after_each_median_line(tmp_path, monkeypatch, capsys):
+    # synthetic runs: wall_s 20% better on the change in every pair,
+    # job_p50_ms better in 8 of 10 pairs, setup_s higher on the change
+    def fake_run(side, checkout, workload, seed, seconds):
+        change = side == "change"
+        wall = 1.0 + seed / 1000 - (0.2 if change else 0.0)
+        p50 = 0.2 - (0.05 if change and seed <= 8 else 0.0)
+        setup = 0.05 + (0.01 if change else 0.0)
+        metrics = {"wall_s": {"value": wall}, "job_p50_ms": {"value": p50},
+                   "setup_s": {"value": setup}}
+        return {"metrics": metrics, "failed": 0, "passes": 10}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.15},
+            {"name": "job_p50_ms", "better": "lower", "bound": 0.25},
+        ],
+        "per_layer": [{"name": "setup_s", "better": "higher"}],
+    }))
+    bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload",
+                      "invariants", "--seeds", "1-10", "--out", str(tmp_path / "pairs.json")])
+    lines = capsys.readouterr().out.splitlines()
+    for metric, expected in (("wall_s", "gain"), ("job_p50_ms", "no gain"), ("setup_s", "gain")):
+        head = f"invariants {metric}: "
+        median = next(i for i, line in enumerate(lines) if line.startswith(head + "median"))
+        assert lines[median + 1] == head + expected

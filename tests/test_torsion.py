@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 from dataclasses import replace
 from functools import reduce
@@ -598,6 +599,12 @@ def test_certificate_verification_rejects_tampering():
     report = torsion_certificate_search(P("x", "x x"), level=1)
     cert = next(c for c in report.certificates if c.word == Word.gen("x"))
     assert not replace(cert, exponent=cert.exponent + 1).verify()
+    # the power is never built at a length the product cannot have
+    forged = replace(cert, exponent=10**12)
+    start = time.perf_counter()
+    assert check_certificates(P("x", "x x"), [forged]) == [False]
+    assert forged.verify() is False
+    assert time.perf_counter() - start < 1
 
 
 def test_supporting_certificates_are_verified_once(monkeypatch):
@@ -873,13 +880,21 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     p = build_pjkl(2, 2, 2)
     report = torsion_certificate_search(p, level=2, word_bound=4)
     supporting = {id(s): s for c in report.certificates for s in c.supporting}
-    calls = []
-    real = torsion.verify_factors
+    checks, reduced = [], []
+    real_check, real_reduce = torsion._reduced_power, torsion.conjugate_ints
     monkeypatch.setattr(
-        torsion, "verify_factors", lambda *args: calls.append(1) or real(*args)
+        torsion, "_reduced_power", lambda *args: checks.append(1) or real_check(*args)
+    )
+    monkeypatch.setattr(
+        torsion, "conjugate_ints", lambda *args: reduced.append(args) or real_reduce(*args)
     )
     assert all(check_certificates(p, report.certificates))
-    assert len(calls) == len(report.certificates) + len(supporting)
+    # one product check per certificate, and one per supporting certificate
+    assert len(checks) == len(report.certificates) + len(supporting)
+    # each distinct (conjugator, relator, sign) is reduced once per call
+    reached = list(report.certificates) + list(supporting.values())
+    triples = {(id(c), id(r), s) for cert in reached for c, r, s in cert.factors}
+    assert len(reduced) == len(triples) < sum(len(cert.factors) for cert in reached)
     # a supporting certificate one level off fails every certificate it backs
     victim = report.certificates[0].supporting[0]
     moved = replace(victim, level=2)

@@ -13,9 +13,13 @@ extended, so the workloads can be run one at a time.  When a run exits
 non-zero, the tool stops with that run's side, seed and the end of its
 stderr; the pairs before it are kept.
 
-After the per-metric medians, each end-to-end metric gets a no-regression
-verdict against its relative ``bound`` in the change checkout's
-``BENCHMARK.json``: "within bound", "worse" (the change's median is worse
+After each metric's medians comes a gain verdict: "gain" when the change
+is better in at least nine tenths of the pairs (ties count for neither)
+and the medians differ by more than the parent's interquartile range,
+else "no gain".  Which way is better comes from the change checkout's
+``BENCHMARK.json``, lower when it names no direction.  Each end-to-end
+metric then gets a no-regression verdict against its relative ``bound``
+in that file: "within bound", "worse" (the change's median is worse
 than the parent's by more than the bound) or "unresolved" (the runs'
 spread, the wider of the two sides' interquartile ranges over the
 parent's median, exceeds the bound, and not every change run beats every
@@ -71,6 +75,15 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def gain(before: list[float], after: list[float], better: str) -> str:
+    """The gain verdict on one metric from its parent and change runs,
+    paired by index."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * a < sign * b for a, b in zip(after, before))
+    gap = sign * (statistics.median(before) - statistics.median(after))
+    return "gain" if 10 * wins >= 9 * len(before) and gap > iqr(before) else "no gain"
+
+
 def verdict(before: list[float], after: list[float], bound: float, better: str) -> str:
     """The no-regression verdict on one metric from its parent and change
     runs, with ``bound`` relative to the parent's median."""
@@ -110,8 +123,9 @@ def main(argv: list[str] | None = None) -> int:
               f"passes {pair['parent']['passes']} -> {pair['change']['passes']}",
               f"failed {pair['parent']['failed']} -> {pair['change']['failed']}", flush=True)
 
-    bounds = {e["name"]: e for e in
-              json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    bounds = {e["name"]: e for e in bench["end_to_end"]}
+    better = {e["name"]: e["better"] for e in bench["end_to_end"] + bench.get("per_layer", [])}
     mine = [p for p in pairs if p["workload"] == args.workload]
     for m in sorted(mine[0]["parent"]["metrics"]):
         before = [value(p["parent"], m) for p in mine]
@@ -120,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.workload} {m}: median {statistics.median(before):.4g} -> "
               f"{statistics.median(after):.4g}, parent IQR {iqr(before):.3g}, "
               f"change lower in {wins}/{len(mine)}")
+        print(f"{args.workload} {m}: {gain(before, after, better.get(m, 'lower'))}")
         if m in bounds:
             print(f"{args.workload} {m}: "
                   f"{verdict(before, after, bounds[m]['bound'], bounds[m]['better'])} "
