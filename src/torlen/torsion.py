@@ -210,7 +210,7 @@ class TorsionCertificate:
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
             relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
             factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
-            limit = sum(2 * len(c) + len(r) for (c, _, _), r in zip(factors, relators))
+            limit = sum(2 * len(c) + len(r) for c, r, _ in self.factors)
             target = _reduced_power(word_to_ints(self.word, index), self.exponent, limit)
             ok = target is not None and verify_factors(target, factors, relators)
             ok = ok and all(c.verify() for c in self.supporting)
