@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -122,6 +123,136 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_snf_matches_minor_gcd_oracle_on_random_matrices(m):
     assert smith_normal_form(m) == snf_oracle(m)
+
+
+def reference_sparse_snf(rows):
+    """Frozen copy of the three-tier elimination loop (unit queue, divisor
+    queue, full sweep, least entry) that ``smith_normal_form`` once used,
+    returning the diagonal it collects before merging."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    diag = []
+
+    def clear_column(p, c):
+        prow = rows[p]
+        d = prow[c]
+        touched = [r for r in cols[c] if r != p]
+        for r in touched:
+            row = rows[r]
+            f = row[c] // d
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        cols[j].add(r)
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+        return touched
+
+    def eliminate(p, c):
+        touched = clear_column(p, c)
+        prow = rows[p]
+        for j in prow:
+            cols[j].discard(p)
+        diag.append(abs(prow[c]))
+        rows[p] = {}
+        return touched
+
+    def reduce_row(p, c):
+        prow = rows[p]
+        d = prow[c]
+        for j in [j for j in prow if j != c]:
+            x = prow[j] % d
+            if x:
+                prow[j] = x
+            else:
+                del prow[j]
+                cols[j].discard(p)
+        return [p]
+
+    def unit_pivot(p):
+        units = [j for j, v in rows[p].items() if v == 1 or v == -1]
+        return min(units, key=lambda j: len(cols[j])) if units else None
+
+    def divisor_pivot(p):
+        row = rows[p]
+        g = 0
+        for v in row.values():
+            g = math.gcd(g, v)
+        fits = [
+            j for j, v in row.items()
+            if abs(v) == g and all(rows[r][j] % g == 0 for r in cols[j])
+        ]
+        return min(fits, key=lambda j: len(cols[j])) if fits else None
+
+    unit_queue = deque(range(len(rows)))
+    divisor_queue = deque()
+    full_sweep = False
+    while True:
+        while unit_queue:
+            p = unit_queue.popleft()
+            c = unit_pivot(p)
+            if c is not None:
+                touched = eliminate(p, c)
+                unit_queue.extend(touched)
+                divisor_queue.extend(touched)
+        while divisor_queue:
+            p = divisor_queue.popleft()
+            c = divisor_pivot(p)
+            if c is not None:
+                touched = eliminate(p, c)
+                break
+        else:
+            if not full_sweep:
+                divisor_queue.extend(i for i, row in enumerate(rows) if row)
+                full_sweep = True
+                continue
+            live = [(abs(v), p, c) for p, row in enumerate(rows) for c, v in row.items()]
+            if not live:
+                break
+            _, p, c = min(live)
+            touched = clear_column(p, c) if len(cols[c]) > 1 else reduce_row(p, c)
+        unit_queue.extend(touched)
+        divisor_queue.extend(touched)
+        full_sweep = False
+    return diag
+
+
+def reference_snf(matrix):
+    """Diagonal of the Smith normal form from the frozen loop, merged into
+    a divisibility chain by pairwise (gcd, lcm) swaps."""
+    n_cols = len(matrix[0]) if matrix else 0
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    d = sorted(reference_sparse_snf(rows))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d + [0] * (min(len(matrix), n_cols) - len(d))
+
+
+def seeded_large_matrices():
+    """Shapes the minor-gcd oracle cannot reach: 30 matrices from 8 x 8 to
+    20 x 20, half the entries zero and the rest in -100..100, then 10 whose
+    entries have no unit among them."""
+    rng = random.Random(23)
+    for k in range(40):
+        rows, cols = rng.randint(8, 20), rng.randint(8, 20)
+        cells = rows * cols
+        if k < 30:
+            values = [rng.randint(-100, 100) if rng.random() < 0.5 else 0 for _ in range(cells)]
+        else:
+            values = [rng.choice(NO_UNIT[1:]) for _ in range(cells)]
+        yield [values[i : i + cols] for i in range(0, cells, cols)]
+
+
+def test_snf_matches_frozen_reference_on_large_matrices():
+    for m in seeded_large_matrices():
+        assert smith_normal_form(m) == reference_snf(m), m
 
 
 def exponent_matrix(p):
