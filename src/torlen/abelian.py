@@ -1,10 +1,11 @@
 """Exact integer Smith normal form and abelian invariants.
 
-One elimination loop over sparse ``{col: value}`` rows computes every
-Smith normal form: ``abelianization`` hands it the relators' exponent
-sums directly, and ``smith_normal_form`` converts a dense matrix first.
-Everything runs over Python's arbitrary-precision ints; entries like
-3 * 2**n arise quickly in the constructions and must not overflow.
+One elimination loop over sparse ``{col: value}`` rows, with one pivot
+rule, computes every Smith normal form: ``abelianization`` hands it the
+relators' exponent sums directly, and ``smith_normal_form`` converts a
+dense matrix first.  Everything runs over Python's arbitrary-precision
+ints; entries like 3 * 2**n arise quickly in the constructions and must
+not overflow.
 """
 
 from __future__ import annotations
@@ -49,15 +50,17 @@ def _sparse_snf(rows: list[dict[int, int]]) -> list[int]:
     given as ``{col: value}`` dicts without zero values; the rows are
     consumed.
 
-    Elimination keeps a column -> rows index and is driven by worklists
-    of touched rows: first unit pivots, then divisor pivots (an entry
-    dividing every other entry of its row and column, which splits off
-    diag(d, M') exactly).  When a sweep of every live row finds neither,
+    Elimination keeps a column -> rows index and one worklist of touched
+    rows, each tried for a divisor pivot: an entry equal to its row's gcd
+    g up to sign that divides every entry of its column, the column with
+    the fewest rows winning.  It splits off diag(g, M') exactly; a unit is
+    the case g = 1, which divides any column.  When the worklist runs dry,
     the entry d of least absolute value reduces its column, or, if it is
-    alone there, its row, modulo d; each such step shrinks an entry or
-    empties a column, so the loop ends.  The collected diagonal is merged
-    into invariant factors (Havas, Holt & Rees, "Recognizing badly
-    presented Z-modules", Linear Algebra Appl. 192, 1993).
+    alone there, its row, modulo d, and the rows it touched are queued;
+    each such step shrinks an entry or empties a column, so the loop
+    ends.  The collected diagonal is merged into invariant factors (Havas,
+    Holt & Rees, "Recognizing badly presented Z-modules", Linear Algebra
+    Appl. 192, 1993).
     """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -111,53 +114,27 @@ def _sparse_snf(rows: list[dict[int, int]]) -> list[int]:
                 cols[j].discard(p)
         return [p]
 
-    def unit_pivot(p: int) -> int | None:
-        units = [j for j, v in rows[p].items() if v == 1 or v == -1]
-        return min(units, key=lambda j: len(cols[j])) if units else None
-
     def divisor_pivot(p: int) -> int | None:
         row = rows[p]
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
+        g = gcd(*row.values())
         fits = [
             j for j, v in row.items()
-            if abs(v) == g and all(rows[r][j] % g == 0 for r in cols[j])
+            if abs(v) == g and (g == 1 or all(rows[r][j] % g == 0 for r in cols[j]))
         ]
         return min(fits, key=lambda j: len(cols[j])) if fits else None
 
-    unit_queue = deque(range(len(rows)))
-    divisor_queue: deque[int] = deque()
-    full_sweep = False
+    work = deque(range(len(rows)))
     while True:
-        while unit_queue:
-            p = unit_queue.popleft()
-            c = unit_pivot(p)
-            if c is not None:
-                touched = eliminate(p, c)
-                unit_queue.extend(touched)
-                divisor_queue.extend(touched)
-        while divisor_queue:
-            p = divisor_queue.popleft()
+        while work:
+            p = work.popleft()
             c = divisor_pivot(p)
             if c is not None:
-                touched = eliminate(p, c)
-                break
-        else:
-            # Dropping a pivot row can free a divisor pivot in a row that was
-            # not touched, so sweep every row once before reducing.
-            if not full_sweep:
-                divisor_queue.extend(i for i, row in enumerate(rows) if row)
-                full_sweep = True
-                continue
-            live = [(abs(v), p, c) for p, row in enumerate(rows) for c, v in row.items()]
-            if not live:
-                break
-            _, p, c = min(live)
-            touched = clear_column(p, c) if len(cols[c]) > 1 else reduce_row(p, c)
-        unit_queue.extend(touched)
-        divisor_queue.extend(touched)
-        full_sweep = False
+                work.extend(eliminate(p, c))
+        live = [(abs(v), p, c) for p, row in enumerate(rows) for c, v in row.items()]
+        if not live:
+            break
+        _, p, c = min(live)
+        work.extend(clear_column(p, c) if len(cols[c]) > 1 else reduce_row(p, c))
     return _invariant_factors(diag)
 
 
