@@ -36,7 +36,6 @@ from .words import (
     cyclic_reduce,
     cyclic_split_ints,
     ints_to_word,
-    invert_ints,
     multiply_ints,
     reduce_ints,
     word_to_ints,
@@ -200,18 +199,20 @@ class TorsionCertificate:
     _verified = None
 
     def verify(self) -> bool:
-        """Recheck the conjugate product by free reduction, here and in
-        every supporting certificate.  Only the product: no relator is
-        checked against a presentation, so a forged certificate for ``z``
-        whose one factor is ``z`` itself passes.  ``check_certificates``
-        is the check against the presentation."""
+        """Recheck the exponent, which must be at least 1, and the
+        conjugate product by free reduction, here and in every supporting
+        certificate.  No relator is checked against a presentation, so a
+        forged certificate for ``z`` whose one factor is ``z`` itself
+        passes.  ``check_certificates`` is the check against the
+        presentation."""
         if self._verified is None:
             words = [self.word] + [w for c, r, _ in self.factors for w in (c, r)]
             index = {g: i for i, g in enumerate({g for w in words for g, _ in w.letters})}
             relators = tuple(word_to_ints(r, index) for _, r, _ in self.factors)
             factors = [(word_to_ints(c, index), i, s) for i, (c, _, s) in enumerate(self.factors)]
             limit = sum(2 * len(c) + len(r) for c, r, _ in self.factors)
-            target = _reduced_power(word_to_ints(self.word, index), self.exponent, limit)
+            word = word_to_ints(self.word, index)
+            target = _reduced_power(word, self.exponent, limit) if self.exponent >= 1 else None
             ok = target is not None and verify_factors(target, factors, relators)
             ok = ok and all(c.verify() for c in self.supporting)
             object.__setattr__(self, "_verified", ok)
@@ -219,11 +220,10 @@ class TorsionCertificate:
 
 
 def _reduced_power(word: IntWord, n: int, limit: int) -> IntWord | None:
-    """The free reduction of word^n, or None when it is longer than
-    ``limit``; built only when it fits, so a forged exponent costs nothing."""
-    if n < 0:
-        word, n = invert_ints(word), -n
-    head, core, tail = cyclic_split_ints(reduce_ints(word)) if n else ((), (), ())
+    """The free reduction of word^n for n >= 1, or None when it is longer
+    than ``limit``; built only when it fits, so a forged exponent costs
+    nothing."""
+    head, core, tail = cyclic_split_ints(reduce_ints(word))
     return head + core * n + tail if 2 * len(head) + n * len(core) <= limit else None
 
 

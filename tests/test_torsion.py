@@ -874,6 +874,7 @@ def test_forged_certificate_fails_the_checker_but_not_verify():
     assert check_certificates(p, [TorsionCertificate(q, 1, 1, ((empty, q, 1),))]) == [False]
     # w^0 = 1 says nothing about the order of w
     assert check_certificates(p, [TorsionCertificate(z, 0, 1, ())]) == [False]
+    assert TorsionCertificate(z, 0, 1, ()).verify() is False
 
 
 def test_checker_rechecks_a_shared_pair_once(monkeypatch):
