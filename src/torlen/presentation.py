@@ -291,11 +291,8 @@ def parse_presentation(text: str) -> Presentation:
             relators.append(free_reduce(_word(tuple(letters))))
         else:
             raise PresentationSyntaxError(f"unrecognized line {line!r}", lineno)
-    if generators is None:
-        if relators:
-            raise PresentationSyntaxError("missing gens: line", 1)
-        generators = []
-    return _presentation(tuple(generators), tuple(relators))
+    # a rel: line needs a gens: line before it, so text without one is empty
+    return _presentation(tuple(generators or ()), tuple(relators))
 
 
 def serialize_presentation(p: Presentation) -> str:

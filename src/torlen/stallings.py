@@ -1,7 +1,7 @@
 """Subgroup graphs of free groups via Stallings folding.
 
-A subgroup of a free group is represented as a folded, core-pruned,
-base-pointed labeled graph.  Folding yields rank, a free basis, and a
+A subgroup of a free group is represented as a folded, base-pointed,
+labeled core graph.  Folding yields rank, a free basis, and a
 membership test.
 """
 
@@ -50,7 +50,7 @@ class UnionFind:
 @dataclass(frozen=True)
 class SubgroupGraph:
     """Folded core graph: deterministic (no repeated labels out of or
-    into a vertex), connected, every non-base leaf pruned."""
+    into a vertex), connected, with no non-base leaf."""
 
     ambient: tuple[str, ...]
     base: int
@@ -72,8 +72,10 @@ class SubgroupGraph:
 
 
 def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> SubgroupGraph:
-    """Wedge of loops at the base, fully folded and core-pruned.  The
-    ambient names must be valid generator names and distinct."""
+    """Wedge of loops at the base, fully folded.  The ambient names must
+    be valid generator names and distinct.  Each vertex inside the loop of
+    a reduced word has two distinct letters, and so has any vertex it is
+    folded into, so no non-base leaf arises and the graph is its core."""
     ambient = tuple(ambient)
     index = {check_symbol(g): i for i, g in enumerate(ambient)}
     if len(index) != len(ambient):
@@ -116,17 +118,6 @@ def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> 
             if t != drop:
                 del maps[t][-y]
             work.append((keep, y, t))
-
-    # core-prune: drop non-base leaves; every vertex stays connected to
-    # the base, so a leaf still has its one edge when it is popped
-    leaves = [v for v in range(1, len(maps)) if len(maps[v]) == 1]
-    while leaves:
-        v = leaves.pop()
-        ((x, w),) = maps[v].items()
-        maps[v] = {}
-        del maps[w][-x]
-        if w and len(maps[w]) == 1:
-            leaves.append(w)
 
     names = {0: 0}
     for v in _bfs_tree(maps, 0):

@@ -96,14 +96,12 @@ def _scan_relators(p: Presentation) -> tuple[bool, frozenset[str]]:
         return False, visible
     if any(abs(powers.get(g, 0)) < 2 for g in parent if g not in children):
         return False, visible  # a trivial or free child would collapse the amalgam
-    # each generator has one parent, so only a cycle is out of reach of the roots
-    reached: set[str] = set()
-    stack = [w for w in children if w not in parent]
-    while stack:
-        if (g := stack.pop()) not in reached:
-            reached.add(g)
-            stack.extend(children.get(g, ()))
-    return reached == children.keys() | parent.keys(), visible
+    # each generator has at most one parent, so the walk from the roots
+    # meets each at most once, and only a cycle is out of its reach
+    walk = [w for w in children if w not in parent]
+    for g in walk:
+        walk.extend(children.get(g, ()))
+    return len(walk) == len(children.keys() | parent.keys()), visible
 
 
 def in_certified_class(p: Presentation) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,14 @@ def test_eliminate_rejects_an_index_outside_the_relators(index):
 def test_eliminate_requires_single_occurrence():
     with pytest.raises(PresentationError):
         eliminate_generator_with_image(P("x", "x x"), "x", 0)
+
+
+def test_kill_and_eliminate_reject_unknown_generators():
+    p = P("x y", "x x", "x y")
+    with pytest.raises(PresentationError, match=r"cannot kill undeclared generator\(s\) \['q'\]"):
+        kill_generators(p, ["q"])
+    with pytest.raises(PresentationError, match="unknown generator 'q'"):
+        eliminate_generator_with_image(p, "q", 0)
 
 
 # -- canonicalize ----------------------------------------------------------
@@ -374,3 +383,22 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nwat: x\n")
     except PresentationSyntaxError as exc:
         assert exc.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("gens: x y^-1\n", "bad generator token 'y^-1'", 1, 8),
+        ("gens: x\n# again\ngens: y\n", "duplicate gens: line", 3, 0),
+        ("gens: x\nrel: x^2\n", "bad token 'x^2'", 2, 5),
+    ],
+)
+def test_parse_rejects_malformed_lines(text, message, line, column):
+    with pytest.raises(PresentationSyntaxError, match=re.escape(message)) as exc:
+        parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n   # another\n"])
+def test_text_without_lines_parses_to_the_empty_presentation(text):
+    assert parse_presentation(text) == Presentation((), ())

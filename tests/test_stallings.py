@@ -233,6 +233,21 @@ def test_closure_members_matches_reference(case, max_length):
     assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_subgroups())
+@example((("a", "b"), [Word.from_text("a b a^-1")]))
+@example((("a", "b"), [Word.from_text("a b a^-1"), Word.from_text("a b^-1 a^-1")]))
+@example((("a", "b"), [Word.from_text("a b b^-1 a^-1")]))
+def test_folded_graph_has_no_non_base_leaf(case):
+    """Each vertex inside the loop of a reduced word has two distinct
+    letters, and so does any vertex it is folded into: the folded wedge is
+    its own core without pruning."""
+    ambient, gens = case
+    graph = build_subgroup_graph(ambient, gens)
+    ends = Counter(v for u, _, w in graph.edges for v in (u, w))
+    assert all(ends[v] >= 2 for v in range(graph.n_vertices) if v != graph.base)
+
+
 def test_closure_member_counts_in_closed_form():
     # reduced words of length <= 8: 1 + 4 (1 + 3 + ... + 3^7) = 2 * 3^8 - 1
     # in F(a, b); a^-8 .. a^8 in <a>; the even powers among them in <a^2>
