@@ -24,6 +24,10 @@ def test_pjkl_shape():
     assert [len(r) for r in build_pjkl(2, 3, 5).relators] == [2, 3, 7]
     with pytest.raises(PresentationError):
         build_pjkl(1, 2, 2)
+    with pytest.raises(PresentationError, match="n must be >= 0"):
+        build_pn(-1)
+    with pytest.raises(PresentationError, match="m must be >= 0"):
+        build_chain(-1)
 
 
 def test_pn_counts_and_lengths():

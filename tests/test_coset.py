@@ -216,6 +216,9 @@ def test_table_error_finds_each_fault():
     assert "does not fix coset 0" in table_error(t, p, [Word.gen("z")])
     assert "not reached" in table_error(forged([[0, 0, 0, 0], [1, 1, 1, 1]]), P("a b", "a", "b"))
     assert "bound_exceeded" in table_error(todd_coxeter(P("a"), max_cosets=9), P("a"))
+    assert table_error(t, P("a c", "a a a", "c c", "a c a c")) == (
+        "table shape does not match the presentation"
+    )
 
 
 @pytest.mark.parametrize(

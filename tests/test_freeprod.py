@@ -10,6 +10,7 @@ from torlen.freeprod import (
     NormalForm,
     NoWitnessUpToBound,
     SeparationWitness,
+    TorsionWitness,
     conjugate_separation_search,
     is_torsion,
     nf_invert,
@@ -76,6 +77,8 @@ def test_spec_parsing():
         CyclicFactorSpec.from_text("factors: x:1")
     with pytest.raises(FactorError):
         CyclicFactorSpec.from_text("factors: x:2 x:3")
+    with pytest.raises(FactorError, match="bad factor token 'x'"):
+        CyclicFactorSpec.from_text("x")
 
 
 def test_spec_equality_ignores_lookup_table():
@@ -129,6 +132,8 @@ def test_is_torsion_basic():
     assert ok and witness.factor_element == Word.gen("x")
     ok, _ = is_torsion(C22, Word.from_text("x y"))
     assert not ok
+    # a word trivial in the group is torsion, with empty witness words
+    assert is_torsion(C23, Word.from_text("x x")) == (True, TorsionWitness(Word.empty(), Word.empty()))
     ok, witness = is_torsion(C33, Word.from_text("y^-1 x y"))
     assert ok
     assert len(witness.factor_element.symbols()) == 1
@@ -172,6 +177,13 @@ def test_conjugate_separation_no_witness(spec):
     assert isinstance(result, NoWitnessUpToBound)
 
 
+def test_conjugate_separation_through_an_infinite_factor():
+    # t:inf draws its exponents from -2..2, not from 1..order-1
+    spec = CyclicFactorSpec.from_text("x:2 t:inf")
+    result = conjugate_separation_search(spec, Word.gen("x"), Word.gen("t"), 3, 2)
+    assert result == NoWitnessUpToBound(3, 2)
+
+
 def test_conjugate_separation_preconditions():
     with pytest.raises(FactorError):
         conjugate_separation_search(C22, Word.gen("x"), Word.gen("x"), 4, 2)
@@ -193,6 +205,8 @@ def test_ping_pong_rejects_torsion_pairs():
     assert not ping_pong_free_check(C22, Word.gen("x"), Word.gen("y"), 2)
     u = Word.from_text("x y")
     assert not ping_pong_free_check(C23, u, u, 2)
+    # a trivial u: the one-letter word u is already the identity
+    assert not ping_pong_free_check(C23, Word.from_text("x x"), Word.gen("y"), 3)
 
 
 def test_ping_pong_rejects_negative_length():

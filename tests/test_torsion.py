@@ -473,6 +473,12 @@ def test_torsion_length_inexact_flagged():
     assert report.value >= 1
 
 
+def test_torsion_length_budget_leaves_the_value_inexact():
+    # P_3 needs three steps; with one allowed, the one taken is all it reports
+    report = torsion_length(build_pn(3), max_iter=1)
+    assert (report.value, report.exact, len(report.trace)) == (1, False, 1)
+
+
 def test_non_hopf_ladder():
     for m in range(1, 6):
         step = torsion_quotient_step(build_chain(m))
