@@ -48,12 +48,14 @@ def test_report_names_unrun_statements_and_one_way_tests(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(root))
     monkeypatch.chdir(tmp_path)
     tool = load_tool()
+    before = sys.gettrace()
     try:
         code, arcs = tool.trace_arcs(root, [str(tests), "-q", "-p", "no:cacheprovider"])
     finally:
         sys.modules.pop("branch_report_demo", None)
         sys.modules.pop("test_demo", None)
     assert code == 0
+    assert sys.gettrace() is before
     where = os.path.join("src", "branch_report_demo.py")
     # the while test went both ways, and unused's def line ran at import
     assert tool.report(root, arcs) == [

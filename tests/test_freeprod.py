@@ -205,7 +205,7 @@ def test_ping_pong_rejects_torsion_pairs():
     assert not ping_pong_free_check(C22, Word.gen("x"), Word.gen("y"), 2)
     u = Word.from_text("x y")
     assert not ping_pong_free_check(C23, u, u, 2)
-    # a trivial u: the one-letter word u is already the identity
+    # u = x x is trivial when x has order 2, so u and v cannot be free
     assert not ping_pong_free_check(C23, Word.from_text("x x"), Word.gen("y"), 3)
 
 

@@ -1,13 +1,11 @@
 """Statements of ``src/torlen`` that a pytest run never ran, and
-``if``/``while`` tests that went only one way.
+``if``/``while`` tests that went only one way:
 
     python3 tools/branch_report.py [pytest arguments]
 
-Runs pytest in this process under a ``sys.settrace`` hook that records
-line-to-line arcs in frames of files under ``src/torlen/`` only, then
-prints one ``file:line`` per finding.  Tracing slows the run several
-times over, so tests with wall-time budgets may fail under it.
-"""
+Runs pytest in-process under a ``sys.settrace`` hook that records line
+arcs in files under ``src/torlen/`` only, and prints one ``file:line``
+per finding.  Tests with wall-time budgets may fail under the tracer."""
 
 from __future__ import annotations
 
@@ -23,15 +21,13 @@ def trace_arcs(root: Path, pytest_args: list[str]) -> tuple[int, set[tuple[str, 
     """Run pytest; return its exit code and the (file, from, to) line arcs
     in files under ``root``.  A frame enters from line 0 and leaves to 0."""
     arcs: set[tuple[str, int, int]] = set()
-    inside: dict[str, str | None] = {}
+    inside: dict[str, str | None] = {}  # code file -> resolved path under root, else None
 
     def tracer(frame, event, arg):
-        code_file = frame.f_code.co_filename
-        if code_file not in inside:
+        if (code_file := frame.f_code.co_filename) not in inside:
             path = Path(code_file).resolve()
             inside[code_file] = str(path) if path.is_relative_to(root.resolve()) else None
-        name = inside[code_file]
-        if name is None:
+        if (name := inside[code_file]) is None:
             return None
         prev = 0
 
@@ -45,11 +41,12 @@ def trace_arcs(root: Path, pytest_args: list[str]) -> tuple[int, set[tuple[str, 
 
         return local
 
+    previous = sys.gettrace()  # an enclosing report's tracer, when run under one
     sys.settrace(tracer)
     try:
         return int(pytest.main(list(pytest_args))), arcs
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
 
 
 def code_lines(code) -> set[int]:
@@ -76,10 +73,8 @@ def report(root: Path, arcs: set[tuple[str, int, int]]) -> list[str]:
             elif isinstance(node, (ast.If, ast.While)) and not isinstance(node.test, ast.Constant):
                 test, body = range(node.test.lineno, node.test.end_lineno + 1), node.body[0].lineno
                 exits = {b for a, b in out if a in test and b not in test}
-                if body not in test and exits == {body}:
-                    found.append((path, line, "always true"))
-                elif body not in test and exits and body not in exits:
-                    found.append((path, line, "always false"))
+                if body not in test and exits and (exits == {body} or body not in exits):
+                    found.append((path, line, f"always {'true' if body in exits else 'false'}"))
     return [f"{os.path.relpath(path)}:{line}: {what}" for path, line, what in sorted(found)]
 
 
