@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from torlen.cli import main
 from torlen.constructions import build_pjkl, build_pn
-from torlen.coset import CosetTable, table_error, todd_coxeter
+from torlen.coset import CosetTable, _prepare_relators, table_error, todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
+from torlen.stallings import UnionFind
 from torlen.words import Word, free_reduce
 
 from test_golden import coxeter_sym, fibonacci, standardize
@@ -422,3 +423,149 @@ def test_named_inputs_keep_their_status():
         assert todd_coxeter(adjoin_relators(build_pjkl(j, k, l), xy), max_cosets=1000).index == l
     assert todd_coxeter(build_pjkl(2, 2, 2)).status == "bound_exceeded"
     assert todd_coxeter(coxeter_sym(8), [Word.gen("s1")]).status == "bound_exceeded"
+
+
+def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000):
+    """A frozen copy of the enumerator as it stood over the package's
+    ``_prepare_relators``: an ``_Enumerator`` class with ``define``,
+    ``coincidence`` and ``scan_and_fill`` methods, subgroup words scanned
+    at coset 0 before the HLT loop starts.  Returns (status, index,
+    limit, rows) with rows standardized as ``todd_coxeter`` returns them."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    subgroup = [free_reduce(w) for w in subgroup_generators]
+    if not p.generators:
+        return "complete", 1, None, ((),)
+    col, inv, loops, words = _prepare_relators(p, index)
+
+    class Exhausted(Exception):
+        pass
+
+    class Enumerator(UnionFind):
+        def __init__(self):
+            super().__init__(1)
+            row = [None] * len(inv)
+            for c in loops:
+                row[c] = 0
+            self.table = [row]
+            self.live_count = 1
+
+        def define(self, a, x):
+            if self.live_count >= max_cosets:
+                raise Exhausted
+            b = self.add()
+            row = [None] * len(inv)
+            for c in loops:
+                row[c] = b
+            self.table.append(row)
+            self.live_count += 1
+            self.table[a][x] = b
+            self.table[b][inv[x]] = a
+
+        def coincidence(self, a, b):
+            table, parent, find = self.table, self.parent, self.find
+            queue = [max(a, b)]
+            parent[queue[0]] = min(a, b)
+            for e in queue:
+                mu = parent[e]
+                for x, f in enumerate(table[e]):
+                    if f is None:
+                        continue
+                    ix = inv[x]
+                    table[f][ix] = None
+                    if parent[mu] != mu:
+                        mu = find(mu)
+                    nu = parent[f]
+                    if parent[nu] != nu:
+                        nu = find(nu)
+                    if (c := table[mu][x]) is not None:
+                        d = nu
+                    elif (c := table[nu][ix]) is not None:
+                        d = mu
+                    else:
+                        table[mu][x], table[nu][ix] = nu, mu
+                        continue
+                    c = parent[c]
+                    if parent[c] != c:
+                        c = find(c)
+                    if c != d:
+                        c, d = (c, d) if c < d else (d, c)
+                        parent[d] = c
+                        queue.append(d)
+                table[e] = None
+            self.live_count -= len(queue)
+
+        def scan_and_fill(self, start, word, back):
+            table = self.table
+            f, fi = start, 0
+            b, bi = start, len(word)
+            while True:
+                while fi < bi and (nxt := table[f][word[fi]]) is not None:
+                    f, fi = nxt, fi + 1
+                while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
+                    b, bi = prev, bi - 1
+                if bi == fi:
+                    if f != b:
+                        self.coincidence(f, b)
+                    return
+                if bi == fi + 1:
+                    table[f][word[fi]] = b
+                    table[b][back[fi]] = f
+                    return
+                self.define(f, word[fi])
+
+    def with_back(word):
+        return word, tuple(inv[c] for c in word)
+
+    relators = [with_back(w) for w in words]
+    subgroup_words = [
+        with_back(tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)) for w in subgroup if w
+    ]
+    enum = Enumerator()
+    table, parent = enum.table, enum.parent
+    try:
+        for w, back in subgroup_words:
+            enum.scan_and_fill(0, w, back)
+        alpha = 0
+        while alpha < len(table):
+            if parent[alpha] == alpha:
+                for rel, back in relators:
+                    enum.scan_and_fill(alpha, rel, back)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    for x, entry in enumerate(table[alpha]):
+                        if entry is None:
+                            enum.define(alpha, x)
+            alpha += 1
+    except Exhausted:
+        return "bound_exceeded", None, max_cosets, ()
+    number = [-1] * len(table)
+    number[0] = 0
+    order = [0]
+    for a in order:
+        for b in table[a]:
+            if number[b] < 0:
+                number[b] = len(order)
+                order.append(b)
+    rows = tuple(tuple(number[table[a][c]] for c in col) for a in order)
+    return "complete", len(order), None, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations_with_subgroups(), st.booleans(), st.sampled_from((4, 9, 30, 120, 2000)))
+@example((TRIVIAL_BY_COINCIDENCE, []), False, 8)
+@example((TRIVIAL_BY_COINCIDENCE, []), False, 9)
+@example((F25, []), False, 58)
+@example((F25, []), False, 59)
+@example((P("a b", "a", "b a b a^-1 b"), [Word.from_text("a b")]), True, 4)
+@example((P("a b", "b b", "a b a b^-1 a", "a a a a"), []), False, 9)
+# the subgroup word a closes coset 0 before a^5 is scanned there
+@example((P("a", "a a a a a"), [Word.gen("a")]), True, 4)
+def test_matches_prepared_reference_exactly(case, with_subgroup, max_cosets):
+    # The definition and coincidence order is the frozen copy's, so the
+    # two agree at every budget, including one near the live peak.
+    p, subgroup = case
+    subgroup = subgroup if with_subgroup else []
+    t = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    expected = reference_prepared_todd_coxeter(p, subgroup, max_cosets)
+    assert (t.status, t.index, t.limit, t.rows) == expected

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torlen.abelian import AbelianInvariants
 from torlen.constructions import build_chain, build_ln, build_pn, build_qn, build_tgen
@@ -23,7 +23,7 @@ from torlen.presentation import (
     serialize_presentation,
 )
 from torlen.stallings import build_subgroup_graph
-from torlen.words import Word
+from torlen.words import Word, free_reduce, substitute
 
 
 def P(gens, *relators):
@@ -171,6 +171,51 @@ def test_kill_and_eliminate_reject_unknown_generators():
         eliminate_generator_with_image(p, "q", 0)
 
 
+def reference_eliminate(p, g, k):
+    """Tietze elimination as first written: ``substitute`` the image of
+    g into every relator but the k-th, which holds g exactly once."""
+    relator = p.relators[k]
+    (i,) = [i for i, (name, _) in enumerate(relator.letters) if name == g]
+    before, after = Word(relator.letters[:i]), Word(relator.letters[i + 1 :])
+    if relator.letters[i][1] == 1:
+        image = free_reduce(before.inverse() * after.inverse())
+    else:
+        image = free_reduce(after * before)
+    rels = tuple(substitute(r, {g: image}) for j, r in enumerate(p.relators) if j != k)
+    return Presentation(tuple(h for h in p.generators if h != g), rels), image
+
+
+@st.composite
+def eliminations(draw):
+    """A presentation, a generator g and the index of a relator holding g
+    once; the other relators may hold g with either sign, or not at all."""
+    gens = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    g = draw(st.sampled_from(gens))
+    others = [h for h in gens if h != g]
+    sign = st.sampled_from((1, -1))
+    free_of_g = st.lists(st.tuples(st.sampled_from(others or [g]), sign), max_size=4 * bool(others))
+    defining = draw(free_of_g) + [(g, draw(sign))] + draw(free_of_g)
+    any_letter = st.tuples(st.sampled_from(gens), sign)
+    rels = draw(st.lists(st.one_of(free_of_g, st.lists(any_letter, max_size=6)), max_size=4))
+    k = draw(st.integers(0, len(rels)))
+    rels.insert(k, defining)
+    p = Presentation(tuple(gens), tuple(Word(tuple(r)) for r in rels))
+    return p, g, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(eliminations())
+@example((P("a b", "a b", "a a b^-1", "a a"), "b", 0))
+@example((P("a b", "b^-1 a^-1", "b^-1 a", "b a b^-1"), "b", 0))
+def test_eliminate_matches_substituting_every_relator(case):
+    p, g, k = case
+    out, image = eliminate_generator_with_image(p, g, k)
+    expected, expected_image = reference_eliminate(p, g, k)
+    assert (out.generators, out.relators, image) == (
+        expected.generators, expected.relators, expected_image
+    )
+
+
 # -- canonicalize ----------------------------------------------------------
 
 
@@ -178,6 +223,13 @@ def test_canonicalize_inverse_and_rename():
     a = canonicalize(P("z", "z^-1 z^-1"))
     b = canonicalize(P("w", "w w"))
     assert a == b
+
+
+def test_canonicalize_drops_empty_relators():
+    # a a^-1 reduces to the empty word when the presentation is built
+    p = P("a", "a a^-1", "a a")
+    assert p.relators[0] == Word()
+    assert canonicalize(p) == canonicalize(P("a", "a a"))
 
 
 def test_canonicalize_idempotent():
