@@ -56,99 +56,6 @@ class CosetTable:
         return {"status": self.status, "limit": self.limit}
 
 
-class _Enumerator(UnionFind):
-    """Coset table with one column per letter, where inv[x] is the column
-    of x's inverse letter (x itself for an involution).  Each of loops
-    is a killed generator's column, whose entry at every coset is that
-    coset.  Between calls every entry of a live coset names a live
-    coset, so scans read the table directly; a coset is dead once the
-    union-find has merged it into a lesser one."""
-
-    def __init__(self, inv: list[int], loops: list[int], max_cosets: int):
-        super().__init__(1)
-        self.inv = inv
-        self.loops = loops
-        self.max_cosets = max_cosets
-        row: list[int | None] = [None] * len(inv)
-        for c in loops:
-            row[c] = 0
-        self.table: list[list[int | None] | None] = [row]
-        self.live_count = 1
-
-    def define(self, a: int, x: int):
-        if self.live_count >= self.max_cosets:
-            raise BoundExceeded(self.max_cosets)
-        b = self.add()
-        row = [None] * len(self.inv)
-        for c in self.loops:
-            row[c] = b
-        self.table.append(row)
-        self.live_count += 1
-        self.table[a][x] = b
-        self.table[b][self.inv[x]] = a
-
-    def coincidence(self, a: int, b: int):
-        """Identify live cosets a and b and every coincidence this forces:
-        procedure COINCIDENCE of Holt, Eick & O'Brien, Handbook of
-        Computational Group Theory (2005), 5.1.  A FIFO holds the dead
-        cosets; each dead row's entries move to the survivors (the least
-        coset of each class) and the row is dropped.  A root is read as
-        parent[c] (c itself when live); find runs only if that is dead."""
-        table, parent, find, inv = self.table, self.parent, self.find, self.inv
-        queue = [max(a, b)]
-        parent[queue[0]] = min(a, b)
-        for e in queue:
-            mu = parent[e]
-            for x, f in enumerate(table[e]):
-                if f is None:
-                    continue
-                ix = inv[x]
-                table[f][ix] = None
-                if parent[mu] != mu:
-                    mu = find(mu)
-                nu = parent[f]
-                if parent[nu] != nu:
-                    nu = find(nu)
-                if (c := table[mu][x]) is not None:
-                    d = nu
-                elif (c := table[nu][ix]) is not None:
-                    d = mu
-                else:
-                    table[mu][x], table[nu][ix] = nu, mu
-                    continue
-                c = parent[c]
-                if parent[c] != c:
-                    c = find(c)
-                if c != d:
-                    c, d = (c, d) if c < d else (d, c)
-                    parent[d] = c
-                    queue.append(d)
-            table[e] = None
-        self.live_count -= len(queue)
-
-    def scan_and_fill(self, start: int, word: tuple[int, ...], back: tuple[int, ...]):
-        """Trace word from live coset start, forwards and backwards,
-        defining cosets until the two ends meet or one entry closes the
-        gap (a deduction).  back[i] is the inverse column of word[i]."""
-        table = self.table
-        f, fi = start, 0
-        b, bi = start, len(word)
-        while True:
-            while fi < bi and (nxt := table[f][word[fi]]) is not None:
-                f, fi = nxt, fi + 1
-            while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
-                b, bi = prev, bi - 1
-            if bi == fi:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            if bi == fi + 1:  # both slots are empty: the scans stopped there
-                table[f][word[fi]] = b
-                table[b][back[fi]] = f
-                return
-            self.define(f, word[fi])
-
-
 def _prepare_relators(
     p: Presentation, index: dict[str, int]
 ) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
@@ -235,16 +142,100 @@ def todd_coxeter(
         with_back(tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)) for w in subgroup if w
     ]
 
-    enum = _Enumerator(inv, loops, max_cosets)
-    table, parent, scan, define = enum.table, enum.parent, enum.scan_and_fill, enum.define
+    # One row per coset, one column per letter; inv[x] is the column of
+    # x's inverse letter (x itself for an involution).  Each of loops is a
+    # killed generator's column, whose entry at every coset is that coset.
+    # Between scans every entry of a live coset names a live coset, so
+    # scans read the table directly; a coset is dead once the union-find
+    # has merged it into a lesser one.
+    cosets = UnionFind(1)
+    parent, find, width = cosets.parent, cosets.find, len(inv)
+    row: list[int | None] = [None] * width
+    for c in loops:
+        row[c] = 0
+    table: list[list[int | None] | None] = [row]
+    live = 1
+
+    def define(a: int, x: int):
+        nonlocal live
+        if live >= max_cosets:
+            raise BoundExceeded(max_cosets)
+        b = cosets.add()
+        row = [None] * width
+        for c in loops:
+            row[c] = b
+        table.append(row)
+        live += 1
+        table[a][x] = b
+        table[b][inv[x]] = a
+
+    def coincidence(a: int, b: int):
+        """Identify live cosets a and b and every coincidence this forces:
+        procedure COINCIDENCE of Holt, Eick & O'Brien, Handbook of
+        Computational Group Theory (2005), 5.1.  A FIFO holds the dead
+        cosets; each dead row's entries move to the survivors (the least
+        coset of each class) and the row is dropped.  A root is read as
+        parent[c] (c itself when live); find runs only if that is dead."""
+        nonlocal live
+        queue = [max(a, b)]
+        parent[queue[0]] = min(a, b)
+        for e in queue:
+            mu = parent[e]
+            for x, f in enumerate(table[e]):
+                if f is None:
+                    continue
+                ix = inv[x]
+                table[f][ix] = None
+                if parent[mu] != mu:
+                    mu = find(mu)
+                nu = parent[f]
+                if parent[nu] != nu:
+                    nu = find(nu)
+                if (c := table[mu][x]) is not None:
+                    d = nu
+                elif (c := table[nu][ix]) is not None:
+                    d = mu
+                else:
+                    table[mu][x], table[nu][ix] = nu, mu
+                    continue
+                c = parent[c]
+                if parent[c] != c:
+                    c = find(c)
+                if c != d:
+                    c, d = (c, d) if c < d else (d, c)
+                    parent[d] = c
+                    queue.append(d)
+            table[e] = None
+        live -= len(queue)
+
+    # HLT: scan every loop at each live coset in turn, the subgroup words
+    # first at coset 0, then fill the coset's empty entries.  A coincidence
+    # keeps the lesser coset, so coset 0 is never merged away.
+    first = subgroup_words + relators
     try:
-        for w, back in subgroup_words:
-            scan(0, w, back)
         alpha = 0
         while alpha < len(table):
             if parent[alpha] == alpha:
-                for rel, back in relators:
-                    scan(alpha, rel, back)
+                for word, back in (first if alpha == 0 else relators):
+                    # trace word from alpha, forwards and backwards, defining
+                    # cosets until the two ends meet or one entry closes the
+                    # gap (a deduction); back[i] is the inverse column of word[i]
+                    f, fi = alpha, 0
+                    b, bi = alpha, len(word)
+                    while True:
+                        while fi < bi and (nxt := table[f][word[fi]]) is not None:
+                            f, fi = nxt, fi + 1
+                        while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
+                            b, bi = prev, bi - 1
+                        if bi == fi:
+                            if f != b:
+                                coincidence(f, b)
+                            break
+                        if bi == fi + 1:  # both slots are empty: the scans stopped there
+                            table[f][word[fi]] = b
+                            table[b][back[fi]] = f
+                            break
+                        define(f, word[fi])
                     if parent[alpha] != alpha:
                         break
                 else:

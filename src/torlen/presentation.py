@@ -55,11 +55,6 @@ class Presentation:
                 raise PresentationError(f"relator mentions undeclared generator(s) {sorted(extra)}")
         object.__setattr__(self, "relators", tuple(free_reduce(r) for r in self.relators))
 
-    def __str__(self) -> str:
-        gens = " ".join(self.generators) if self.generators else "-"
-        rels = ", ".join(str(r) for r in self.relators) if self.relators else "-"
-        return f"< {gens} | {rels} >"
-
 
 def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
     """A Presentation from distinct checked generators and reduced
@@ -153,8 +148,9 @@ def eliminate_generator_with_image(
         image = free_reduce(after * before)
     mapping = {g: image}
     gens = tuple(h for h in p.generators if h != g)
+    # a relator without g is already reduced, so it is kept as it is
     rels = tuple(
-        substitute(r, mapping)
+        substitute(r, mapping) if (g, 1) in r.letters or (g, -1) in r.letters else r
         for j, r in enumerate(p.relators)
         if j != defining_relator_index
     )

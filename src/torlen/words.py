@@ -99,9 +99,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __bool__(self) -> bool:
         return bool(self.letters)
 
