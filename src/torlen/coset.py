@@ -32,12 +32,6 @@ from .stallings import UnionFind
 from .words import Word, cyclic_split_ints, free_reduce, word_to_ints
 
 
-class BoundExceeded(Exception):
-    def __init__(self, limit: int):
-        super().__init__(f"live cosets exceeded {limit}")
-        self.limit = limit
-
-
 @dataclass(frozen=True)
 class CosetTable:
     status: str  # "complete" | "bound_exceeded"
@@ -133,9 +127,16 @@ def todd_coxeter(
         return CosetTable("complete", 1, None, p.generators, ((),))
 
     col, inv, loops, words = _prepare_relators(p, index)
+    # HLT fills a coset's empty entries once every loop has been scanned
+    # there.  The loops come with all their cyclic conjugates, up to
+    # inversion, so by then each column a loop holds, and its inverse, is
+    # filled.  Each other column x is filled by scanning the freely
+    # trivial loop x x^-1 (x x for an involution) last.
+    filled = {c for w in words for x in w for c in (x, inv[x])}.union(loops)
+    words += [(x, inv[x]) for x in range(len(inv)) if x not in filled]
 
-    def with_back(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return word, tuple(map(inv.__getitem__, word))
+    def with_back(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        return word, tuple(map(inv.__getitem__, word)), len(word)
 
     relators = [with_back(w) for w in words]
     subgroup_words = [
@@ -155,19 +156,6 @@ def todd_coxeter(
         row[c] = 0
     table: list[list[int | None] | None] = [row]
     live = 1
-
-    def define(a: int, x: int):
-        nonlocal live
-        if live >= max_cosets:
-            raise BoundExceeded(max_cosets)
-        b = cosets.add()
-        row = [None] * width
-        for c in loops:
-            row[c] = b
-        table.append(row)
-        live += 1
-        table[a][x] = b
-        table[b][inv[x]] = a
 
     def coincidence(a: int, b: int):
         """Identify live cosets a and b and every coincidence this forces:
@@ -209,42 +197,46 @@ def todd_coxeter(
         live -= len(queue)
 
     # HLT: scan every loop at each live coset in turn, the subgroup words
-    # first at coset 0, then fill the coset's empty entries.  A coincidence
-    # keeps the lesser coset, so coset 0 is never merged away.
+    # first at coset 0.  A coincidence keeps the lesser coset, so coset 0
+    # is never merged away.
     first = subgroup_words + relators
-    try:
-        alpha = 0
-        while alpha < len(table):
-            if parent[alpha] == alpha:
-                for word, back in (first if alpha == 0 else relators):
-                    # trace word from alpha, forwards and backwards, defining
-                    # cosets until the two ends meet or one entry closes the
-                    # gap (a deduction); back[i] is the inverse column of word[i]
-                    f, fi = alpha, 0
-                    b, bi = alpha, len(word)
-                    while True:
-                        while fi < bi and (nxt := table[f][word[fi]]) is not None:
-                            f, fi = nxt, fi + 1
-                        while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
-                            b, bi = prev, bi - 1
-                        if bi == fi:
-                            if f != b:
-                                coincidence(f, b)
-                            break
-                        if bi == fi + 1:  # both slots are empty: the scans stopped there
-                            table[f][word[fi]] = b
-                            table[b][back[fi]] = f
-                            break
-                        define(f, word[fi])
-                    if parent[alpha] != alpha:
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for word, back, n in (first if alpha == 0 else relators):
+                # trace word from alpha, forwards and backwards, defining
+                # cosets until the two ends meet or one entry closes the
+                # gap (a deduction); back[i] is the inverse column of word[i]
+                f, fi = alpha, 0
+                b, bi = alpha, n
+                while True:
+                    while fi < bi and (nxt := table[f][word[fi]]) is not None:
+                        f, fi = nxt, fi + 1
+                    while bi > fi and (prev := table[b][back[bi - 1]]) is not None:
+                        b, bi = prev, bi - 1
+                    if bi == fi:
+                        if f != b:
+                            coincidence(f, b)
                         break
-                else:
-                    for x, entry in enumerate(table[alpha]):
-                        if entry is None:
-                            define(alpha, x)
-            alpha += 1
-    except BoundExceeded as exc:
-        return CosetTable("bound_exceeded", None, exc.limit, p.generators, ())
+                    if bi == fi + 1:  # both slots are empty: the scans stopped there
+                        table[f][word[fi]] = b
+                        table[b][back[fi]] = f
+                        break
+                    # define a coset at f's entry word[fi]
+                    if live >= max_cosets:
+                        return CosetTable("bound_exceeded", None, max_cosets, p.generators, ())
+                    x, new = word[fi], len(parent)
+                    parent.append(new)
+                    row = [None] * width
+                    for c in loops:
+                        row[c] = new
+                    table.append(row)
+                    live += 1
+                    table[f][x] = new
+                    row[inv[x]] = f
+                if parent[alpha] != alpha:
+                    break
+        alpha += 1
 
     # standardize: number the live cosets breadth-first from coset 0, taking
     # columns in order; an involution's two output columns read its one

@@ -561,6 +561,9 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
 @example((P("a b", "b b", "a b a b^-1 a", "a a a a"), []), False, 9)
 # the subgroup word a closes coset 0 before a^5 is scanned there
 @example((P("a", "a a a a a"), [Word.gen("a")]), True, 4)
+# b (an involution) and c are in no scanned loop, so every coset's
+# b and c entries are defined after its relator scans
+@example((P("a b c", "a a a", "b b"), [Word.gen("c")]), True, 9)
 def test_matches_prepared_reference_exactly(case, with_subgroup, max_cosets):
     # The definition and coincidence order is the frozen copy's, so the
     # two agree at every budget, including one near the live peak.
