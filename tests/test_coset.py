@@ -564,6 +564,9 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
 # b (an involution) and c are in no scanned loop, so every coset's
 # b and c entries are defined after its relator scans
 @example((P("a b c", "a a a", "b b"), [Word.gen("c")]), True, 9)
+# a = 1 and b is in no loop: defining b's entries at coset 0 before its
+# relator scans runs out of budget
+@example((P("a b", "a a a a", "a a a"), [Word.from_text("a^-1 b a")]), True, 4)
 def test_matches_prepared_reference_exactly(case, with_subgroup, max_cosets):
     # The definition and coincidence order is the frozen copy's, so the
     # two agree at every budget, including one near the live peak.
