@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from torlen.cli import main
 from torlen.constructions import build_pjkl, build_pn
-from torlen.coset import CosetTable, _prepare_relators, table_error, todd_coxeter
+from torlen.coset import CosetTable, table_error, todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
 from torlen.stallings import UnionFind
-from torlen.words import Word, free_reduce
+from torlen.words import Word, cyclic_split_ints, free_reduce, word_to_ints
 
 from test_golden import coxeter_sym, fibonacci, standardize
 
@@ -425,17 +425,71 @@ def test_named_inputs_keep_their_status():
     assert todd_coxeter(coxeter_sym(8), [Word.gen("s1")]).status == "bound_exceeded"
 
 
+def reference_prepare_relators(p, index):
+    """A frozen copy of the relator preparation with self-loop columns: a
+    generator killed by a one-letter relator gets one column, whose entry
+    at each coset is that coset, and its letters are deleted from the
+    scanned loops.  Returns (col, inv, loops, words) as
+    ``reference_prepared_todd_coxeter`` reads them."""
+    cores = [cyclic_split_ints(word_to_ints(r, index))[1] for r in p.relators]
+    killed = {abs(w[0]) - 1 for w in cores if len(w) == 1}
+    one_column = killed | {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
+    col, inv, loops = [], [], []
+    for i in range(len(index)):
+        c = len(inv)
+        if i in one_column:
+            col += [c, c]
+            inv.append(c)
+            if i in killed:
+                loops.append(c)
+        else:
+            col += [c, c + 1]
+            inv += [c + 1, c]
+
+    skip = set(loops)
+    words = []
+    for core in cores:
+        stack = []
+        for x in core:
+            c = col[2 * abs(x) - 2 + (x < 0)]
+            if c in skip:
+                continue
+            if stack and stack[-1] == inv[c]:
+                stack.pop()
+            else:
+                stack.append(c)
+        lo, hi = 0, len(stack)
+        while hi - lo > 1 and stack[hi - 1] == inv[stack[lo]]:
+            lo, hi = lo + 1, hi - 1
+        if lo < hi:
+            words.append(tuple(stack[lo:hi]))
+    words.sort(key=len)
+
+    def inverse(w):
+        return tuple(inv[c] for c in reversed(w))
+
+    seen = {*words, *map(inverse, words)}
+    conjugates = []
+    for w in words:
+        for k in range(1, len(w)):
+            if (v := w[k:] + w[:k]) not in seen:
+                seen.update((v, inverse(v)))
+                conjugates.append(v)
+    return col, inv, loops, words + conjugates
+
+
 def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000):
-    """A frozen copy of the enumerator as it stood over the package's
-    ``_prepare_relators``: an ``_Enumerator`` class with ``define``,
-    ``coincidence`` and ``scan_and_fill`` methods, subgroup words scanned
-    at coset 0 before the HLT loop starts.  Returns (status, index,
-    limit, rows) with rows standardized as ``todd_coxeter`` returns them."""
+    """A frozen copy of the enumerator as it stood over
+    ``reference_prepare_relators``: an ``_Enumerator`` class with
+    ``define``, ``coincidence`` and ``scan_and_fill`` methods, subgroup
+    words scanned at coset 0 before the HLT loop starts.  Returns (status,
+    index, limit, rows) with rows standardized as ``todd_coxeter`` returns
+    them."""
     index = {g: i for i, g in enumerate(p.generators)}
     subgroup = [free_reduce(w) for w in subgroup_generators]
     if not p.generators:
         return "complete", 1, None, ((),)
-    col, inv, loops, words = _prepare_relators(p, index)
+    col, inv, loops, words = reference_prepare_relators(p, index)
 
     class Exhausted(Exception):
         pass
@@ -567,6 +621,16 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
 # a = 1 and b is in no loop: defining b's entries at coset 0 before its
 # relator scans runs out of budget
 @example((P("a b", "a a a a", "a a a"), [Word.from_text("a^-1 b a")]), True, 4)
+# a is killed, and the subgroup words pass through it; a c a c^-1 is
+# scanned as c c^-1, which defines a coset, and so runs out of budget
+@example((P("a b", "a", "b b b"), [Word.from_text("a b a^-1")]), True, 4)
+@example(
+    (P("a b c", "a", "a b^-1 c a^-1 a^-1", "b c a^-1 c c"), [Word.from_text("a c a c^-1")]),
+    True,
+    4,
+)
+@example((Presentation((), ()), []), False, 4)
+@example((P("a", "a"), [Word.gen("a")]), True, 4)
 def test_matches_prepared_reference_exactly(case, with_subgroup, max_cosets):
     # The definition and coincidence order is the frozen copy's, so the
     # two agree at every budget, including one near the live peak.

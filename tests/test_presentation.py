@@ -23,7 +23,7 @@ from torlen.presentation import (
     serialize_presentation,
 )
 from torlen.stallings import build_subgroup_graph
-from torlen.words import Word, free_reduce, substitute
+from torlen.words import Word, cyclic_reduce, free_reduce, least_rotation, substitute
 
 
 def P(gens, *relators):
@@ -252,6 +252,73 @@ def test_canonicalize_drops_duplicate_relators():
 def test_canonicalize_unused_generator_flag():
     p = P("x y", "x x")
     assert len(canonicalize(p).generators) == 2
+
+
+def reference_canonicalize(p):
+    """A frozen copy of ``canonicalize`` with an iteration cap of n + 3
+    relabelling rounds, a check for an order seen before, and the least
+    output of the rounds as the answer when either fires."""
+    cores = [core for core, _ in map(cyclic_reduce, p.relators) if core]
+    order = {g: i for i, g in enumerate(p.generators)}
+    seen_orders = [order]
+    outputs = []
+    for _ in range(len(p.generators) + 3):
+        by_order = sorted(order, key=order.__getitem__)
+        codes = []
+        for c in cores:
+            code = tuple(2 * order[g] + (s == -1) for g, s in c.letters)
+            codes.append(least_rotation(code, tuple(x ^ 1 for x in reversed(code))))
+        codes.sort(key=lambda code: (len(code), code))
+        rotated = [
+            tuple((by_order[x >> 1], -1 if x & 1 else 1) for x in code) for code in codes
+        ]
+        new_order = {}
+        for letters in rotated:
+            for name, _ in letters:
+                new_order.setdefault(name, len(new_order))
+        for g in sorted((g for g in p.generators if g not in new_order), key=order.get):
+            new_order[g] = len(new_order)
+        kept = sorted(p.generators, key=new_order.__getitem__)
+        names = {g: f"g{i}" for i, g in enumerate(kept)}
+        rels = dict.fromkeys(tuple((names[g], s) for g, s in w) for w in rotated)
+        out = Presentation(tuple(names[g] for g in kept), tuple(map(Word, rels)))
+        if new_order == order:
+            return out
+        outputs.append(out)
+        if new_order in seen_orders:
+            break
+        seen_orders.append(new_order)
+        order = new_order
+    return min(outputs, key=lambda q: (q.generators, tuple(w.letters for w in q.relators)))
+
+
+def random_presentations(rng, count):
+    """1-9 generators and 0-8 relators of 1-6 letters; every other
+    presentation also holds each relator's images under the powers of a
+    random permutation of the generators, which makes ties between
+    generators likely."""
+    for i in range(count):
+        gens = tuple(f"x{j}" for j in range(rng.randint(1, 9)))
+        rels = [
+            tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        if i % 2:
+            perm = dict(zip(gens, rng.sample(gens, len(gens))))
+            orbit = set()
+            for r in rels:
+                while r not in orbit:
+                    orbit.add(r)
+                    r = tuple((perm[g], s) for g, s in r)
+            rels = sorted(orbit)
+        yield Presentation(gens, tuple(map(Word, rels)))
+
+
+def test_canonicalize_matches_frozen_reference():
+    for p in random_presentations(random.Random(25), 3000):
+        c = canonicalize(p)
+        assert c == reference_canonicalize(p)
+        assert canonicalize(c) == c
 
 
 # -- abelianization --------------------------------------------------------

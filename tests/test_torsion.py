@@ -160,6 +160,7 @@ small_relators = st.lists(
 # an insert whose left seam cancels, whose shift one place left cancels
 # there too, and whose shift two places left does not
 @example([(-1, -2, 3)], 3, 4, 3, 2000)
+@example([(1, -1), (2, 2)], 2, 4, 3, 2000)  # a a^-1 reduces to the empty relator
 def test_closure_ball_matches_whole_word_reduction(
     relators, n_generators, max_len, max_depth, max_states
 ):
