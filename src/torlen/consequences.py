@@ -118,8 +118,6 @@ def closure_ball(
     parents[()] = ((), ("root",))
     ins_moves = []
     for ridx, rel in enumerate(rels):
-        if not rel:
-            continue
         for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
             # each distinct rotation once, at its first offset
             offsets: dict[IntWord, int] = {}

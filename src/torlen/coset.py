@@ -4,9 +4,10 @@ Relator-tracing with immediate coincidence processing over a union-find
 of cosets; between scans, table entries name live cosets only.  The
 relators are prepared once, from their cyclic cores:
 
-- a generator killed by a one-letter relator gets one self-loop column,
-  filled as each coset is defined, and its letters are deleted from the
-  other relators;
+- a generator killed by a one-letter relator gets no column: its
+  letters are deleted from the other relators and the subgroup words,
+  and each coset's entries for it, in the returned table, are the coset
+  itself;
 - an involution (a core x x or x^-1 x^-1) gets one column;
 - the relators left, freely and cyclically reduced over the columns,
   are scanned shortest first (a stable sort, as ACE does), followed by
@@ -52,34 +53,33 @@ class CosetTable:
 
 def _prepare_relators(
     p: Presentation, index: dict[str, int]
-) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
+) -> tuple[list[int | None], list[int], list[tuple[int, ...]]]:
     """Columns and scanned loops from the relators' cyclic cores, as the
-    module docstring describes.  Returns (col, inv, loops, words):
-    col[2i] and col[2i+1] are the columns of generator i and of its
-    inverse, inv[c] is the inverse column of c, loops lists the
-    self-loop columns and words are the loops to scan, in order."""
+    module docstring describes.  Returns (col, inv, words): col[2i] and
+    col[2i+1] are the columns of generator i and of its inverse (None
+    for a killed generator), inv[c] is the inverse column of c and
+    words are the loops to scan, in order."""
     cores = [cyclic_split_ints(word_to_ints(r, index))[1] for r in p.relators]
     killed = {abs(w[0]) - 1 for w in cores if len(w) == 1}
-    one_column = killed | {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
-    col, inv, loops = [], [], []
+    involutions = {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
+    col: list[int | None] = []
+    inv: list[int] = []
     for i in range(len(index)):
         c = len(inv)
-        if i in one_column:
+        if i in killed:
+            col += [None, None]
+        elif i in involutions:
             col += [c, c]
             inv.append(c)
-            if i in killed:
-                loops.append(c)
         else:
             col += [c, c + 1]
             inv += [c + 1, c]
 
-    skip = set(loops)
     words = []
     for core in cores:
         stack: list[int] = []
         for x in core:
-            c = col[2 * abs(x) - 2 + (x < 0)]
-            if c in skip:
+            if (c := col[2 * abs(x) - 2 + (x < 0)]) is None:
                 continue
             if stack and stack[-1] == inv[c]:
                 stack.pop()
@@ -102,7 +102,7 @@ def _prepare_relators(
             if (v := w[k:] + w[:k]) not in seen:
                 seen.update((v, inverse(v)))
                 conjugates.append(v)
-    return col, inv, loops, words + conjugates
+    return col, inv, words + conjugates
 
 
 def todd_coxeter(
@@ -123,38 +123,32 @@ def todd_coxeter(
         if extra := w.symbols() - index.keys():
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
         subgroup.append(free_reduce(w))
-    if not p.generators:
-        return CosetTable("complete", 1, None, p.generators, ((),))
 
-    col, inv, loops, words = _prepare_relators(p, index)
+    col, inv, words = _prepare_relators(p, index)
     # HLT fills a coset's empty entries once every loop has been scanned
     # there.  The loops come with all their cyclic conjugates, up to
     # inversion, so by then each column a loop holds, and its inverse, is
     # filled.  Each other column x is filled by scanning the freely
     # trivial loop x x^-1 (x x for an involution) last.
-    filled = {c for w in words for x in w for c in (x, inv[x])}.union(loops)
+    filled = {c for w in words for x in w for c in (x, inv[x])}
     words += [(x, inv[x]) for x in range(len(inv)) if x not in filled]
 
     def with_back(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         return word, tuple(map(inv.__getitem__, word)), len(word)
 
     relators = [with_back(w) for w in words]
-    subgroup_words = [
-        with_back(tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)) for w in subgroup if w
-    ]
+    # a killed generator's letters are deleted, as from the relators
+    columns = (tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters) for w in subgroup)
+    subgroup_words = [with_back(tuple(c for c in w if c is not None)) for w in columns]
 
     # One row per coset, one column per letter; inv[x] is the column of
-    # x's inverse letter (x itself for an involution).  Each of loops is a
-    # killed generator's column, whose entry at every coset is that coset.
-    # Between scans every entry of a live coset names a live coset, so
-    # scans read the table directly; a coset is dead once the union-find
-    # has merged it into a lesser one.
+    # x's inverse letter (x itself for an involution).  Between scans
+    # every entry of a live coset names a live coset, so scans read the
+    # table directly; a coset is dead once the union-find has merged it
+    # into a lesser one.
     cosets = UnionFind(1)
     parent, find, width = cosets.parent, cosets.find, len(inv)
-    row: list[int | None] = [None] * width
-    for c in loops:
-        row[c] = 0
-    table: list[list[int | None] | None] = [row]
+    table: list[list[int | None] | None] = [[None] * width]
     live = 1
 
     def coincidence(a: int, b: int):
@@ -228,8 +222,6 @@ def todd_coxeter(
                     x, new = word[fi], len(parent)
                     parent.append(new)
                     row = [None] * width
-                    for c in loops:
-                        row[c] = new
                     table.append(row)
                     live += 1
                     table[f][x] = new
@@ -239,7 +231,8 @@ def todd_coxeter(
         alpha += 1
 
     # standardize: number the live cosets breadth-first from coset 0, taking
-    # columns in order; an involution's two output columns read its one
+    # columns in order; an involution's two output columns read its one,
+    # and a killed generator's read the coset's own number
     number = [-1] * len(table)
     number[0] = 0
     order = [0]
@@ -248,7 +241,9 @@ def todd_coxeter(
             if number[b] < 0:
                 number[b] = len(order)
                 order.append(b)
-    rows = tuple(tuple(number[table[a][c]] for c in col) for a in order)
+    rows = tuple(
+        tuple(k if c is None else number[table[a][c]] for c in col) for k, a in enumerate(order)
+    )
     return CosetTable("complete", len(order), None, p.generators, rows)
 
 

@@ -167,6 +167,9 @@ def canonicalize(p: Presentation) -> Presentation:
     each relator, sorts relators by (length, lex), relabels generators
     g0, g1, ... by first occurrence, and deduplicates relators.
     Generators mentioned in no relator are kept (free factors matter).
+    The relabelling repeats until the order of the generators is a fixed
+    point, which it always reaches: each new order strictly lowers the
+    sorted relator codes.
     """
     cores = []
     for r in p.relators:
@@ -175,9 +178,7 @@ def canonicalize(p: Presentation) -> Presentation:
             cores.append(core)
 
     order = {g: i for i, g in enumerate(p.generators)}
-    seen_orders = [order]
-    outputs = []
-    for _ in range(len(p.generators) + 3):
+    while True:
         # letter g^s encodes as 2*order[g] + (s == -1), its inverse as
         # code ^ 1, so int order is (generator order, sign) order
         by_order = sorted(order, key=order.__getitem__)
@@ -186,37 +187,26 @@ def canonicalize(p: Presentation) -> Presentation:
             code = tuple(2 * order[g] + (s == -1) for g, s in c.letters)
             codes.append(least_rotation(code, tuple(x ^ 1 for x in reversed(code))))
         codes.sort(key=lambda code: (len(code), code))
-        rotated = [
-            _word(tuple((by_order[x >> 1], -1 if x & 1 else 1) for x in code))
-            for code in codes
-        ]
+        # Read the sorted codes as one sequence S.  Numbering generators
+        # by first occurrence in S is the renumbering that makes S least,
+        # and strictly lower unless the order is unchanged; rotating and
+        # sorting again under the new order can only lower it further.
+        # So S falls strictly in every round, and there are finitely many
+        # orders.
         new_order: dict[str, int] = {}
-        for w in rotated:
-            for name, _ in w.letters:
-                if name not in new_order:
-                    new_order[name] = len(new_order)
-        for g in sorted((g for g in p.generators if g not in new_order), key=lambda g: order[g]):
-            new_order[g] = len(new_order)
-        out = _relabel(p, rotated, new_order)
+        for code in codes:
+            for x in code:
+                new_order.setdefault(by_order[x >> 1], len(new_order))
+        for g in by_order:
+            new_order.setdefault(g, len(new_order))
         if new_order == order:
-            return out  # fixed point; re-running reproduces this output
-        outputs.append(out)
-        if new_order in seen_orders:
-            break  # order cycle; fall through to the deterministic tie-break
-        seen_orders.append(new_order)
+            break
         order = new_order
-    # Cycle (or iteration cap): the candidate set is a renaming
-    # invariant of the structure, so the least serialized output is a
-    # stable choice.
-    return min(outputs, key=lambda q: (q.generators, tuple(w.letters for w in q.relators)))
-
-
-def _relabel(p, rotated, order):
-    kept = sorted(p.generators, key=order.__getitem__)
-    names = {g: f"g{i}" for i, g in enumerate(kept)}
-    # each relator once, at its first place
-    rels = dict.fromkeys(tuple((names[g], s) for g, s in w.letters) for w in rotated)
-    return _presentation(tuple(names[g] for g in kept), tuple(map(_word, rels)))
+    # at the fixed point generator by_order[i] is named gi; each relator
+    # once, at its first place
+    gens = tuple(f"g{i}" for i in range(len(order)))
+    rels = dict.fromkeys(tuple((gens[x >> 1], -1 if x & 1 else 1) for x in code) for code in codes)
+    return _presentation(gens, tuple(map(_word, rels)))
 
 
 # -- abelianization -------------------------------------------------------

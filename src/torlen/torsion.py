@@ -170,7 +170,7 @@ def torsion_length(p: Presentation, max_iter: int = 32) -> TorsionLengthReport:
         trace.append((current, step.killed, step.presentation))
         all_sound = all_sound and step.sound
         current = step.presentation
-    return TorsionLengthReport(len(trace), False, False, tuple(trace))
+    return TorsionLengthReport(len(trace), False, all_sound, tuple(trace))
 
 
 # -- bounded torsion certificates ------------------------------------------

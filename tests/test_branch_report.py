@@ -20,6 +20,10 @@ def count_down(n):
 
 def unused():
     return 0
+
+
+if __name__ == "__main__":
+    print(sign(-1))
 '''
 
 TEST = '''\
@@ -57,7 +61,8 @@ def test_report_names_unrun_statements_and_one_way_tests(tmp_path, monkeypatch):
     assert code == 0
     assert sys.gettrace() is before
     where = os.path.join("src", "branch_report_demo.py")
-    # the while test went both ways, and unused's def line ran at import
+    # the while test went both ways, unused's def line ran at import, and
+    # the __main__ block, which runs only as a script, is not reported
     assert tool.report(root, arcs) == [
         f"{where}:2: always false",
         f"{where}:3: never ran",

@@ -478,6 +478,11 @@ def test_torsion_length_budget_leaves_the_value_inexact():
     # P_3 needs three steps; with one allowed, the one taken is all it reports
     report = torsion_length(build_pn(3), max_iter=1)
     assert (report.value, report.exact, len(report.trace)) == (1, False, 1)
+    # the one step taken was sound, so the report says so
+    assert report.sound
+    # here the first step is not sound
+    report = torsion_length(P("a b", "a a", "a b a^-1 b^-1"), max_iter=1)
+    assert (report.value, report.exact, report.sound) == (1, False, False)
 
 
 def test_non_hopf_ladder():

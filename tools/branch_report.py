@@ -1,5 +1,6 @@
 """Statements of ``src/torlen`` that a pytest run never ran, and
-``if``/``while`` tests that went only one way:
+``if``/``while`` tests that went only one way, outside top-level
+``if __name__ == "__main__":`` blocks, which run only as scripts:
 
     python3 tools/branch_report.py [pytest arguments]
 
@@ -64,7 +65,13 @@ def report(root: Path, arcs: set[tuple[str, int, int]]) -> list[str]:
         executable = code_lines(compile(source, str(path), "exec"))
         out = {(a, b) for f, a, b in arcs if f == str(path)}
         ran = {b for _, b in out}
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        tree.body = [
+            n
+            for n in tree.body
+            if not (isinstance(n, ast.If) and ast.unparse(n.test) == "__name__ == '__main__'")
+        ]
+        for node in ast.walk(tree):
             if not isinstance(node, ast.stmt):
                 continue
             line = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
