@@ -204,6 +204,31 @@ def test_closure_ball_factors_match_reference(
         assert ball.factors(state) == expected[state]
 
 
+@seed(26)
+@settings(max_examples=300, deadline=None)
+@given(
+    small_relators,
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=3),
+)
+def test_closure_ball_budgets_are_monotone(relators, n_generators, max_len, max_depth, budgets):
+    # budget contracts that hold whatever order the ball finds states in:
+    # a smaller state budget finds a prefix of a larger one's states, and
+    # an exhausted ball is the same at every larger budget
+    balls = [
+        closure_ball(relators, n_generators, max_len, max_depth, b)
+        for b in sorted(budgets) + [5000]
+    ]
+    full = list(balls[-1].parents)
+    assert balls[-1].exhausted
+    for ball in balls:
+        states = list(ball.parents)
+        assert states == full[: len(states)]
+        assert ball.exhausted == (states == full)
+
+
 def test_closure_ball_factors_are_kept_per_ball():
     # over relators a b and a, the ball of length 1 reaches b^-1 from a,
     # the ball of length 2 from b^-1 a^-1
@@ -756,6 +781,32 @@ def test_certificate_search_matches_reference(
         certificate_fields(c) for c in expected.certificates
     ]
     assert report == expected
+
+
+@seed(26)
+@settings(max_examples=150, deadline=None)
+@given(
+    small_presentations(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from((1, 4, 30, 200)),
+)
+def test_certified_words_survive_a_larger_budget(
+    p, level, word_bound, exponent_bound, consequence_budget, max_states
+):
+    # a word certified within a small state budget is certified within the
+    # full one, with an exponent no larger, at every level: a larger budget
+    # certifies more words below, so it adjoins more relators
+    full = torsion_certificate_search(p, level, word_bound, exponent_bound, consequence_budget)
+    assert full.exhaustive
+    exponents = {c.word: c.exponent for c in full.certificates}
+    small = torsion_certificate_search(
+        p, level, word_bound, exponent_bound, consequence_budget, max_states
+    )
+    for cert in small.certificates:
+        assert exponents[cert.word] <= cert.exponent
 
 
 # -- a frozen certificate checker ------------------------------------------
