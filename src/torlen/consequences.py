@@ -13,8 +13,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .words import IntWord, invert_ints, multiply_ints, reduce_ints
+from .words import IntWord, invert_ints, multiply_ints, packed_digits, reduce_ints
 
+# The search packs each state into one int (``words.packed_digits``), so
+# splitting a word at a position is one divmod and a child is built by
+# arithmetic; a state's tuple is built once, when the state is new.
 # Moves are recorded as:
 #   ("ins", position, relator_index, sign, rotation) -- insert a cyclic
 #       rotation of relator^sign at the given position.  The word and the
@@ -25,7 +28,12 @@ from .words import IntWord, invert_ints, multiply_ints, reduce_ints
 #       has no left seam).  So letters cancel only at the right seam, when
 #       the rotation ends with the inverse of the letter after the
 #       position.  Otherwise the child is the plain concatenation, of
-#       length len(word) + len(rotation).
+#       length len(word) + len(rotation).  A child that cancels c letters
+#       of a rotation of m letters has len(word) + m - 2c letters, so with
+#       room = max_len - len(word) it fits iff c >= need =
+#       ceil((m - room) / 2).  It is built only when the `need` letters
+#       after the position are the inverses of the rotation's last `need`
+#       letters, and skipped when fewer than `need` letters follow.
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
 #       ends, and only if the word starts with -letter or ends with
@@ -100,9 +108,10 @@ def closure_ball(
     cancels at its left seam never is (see the move comment above).  A
     move that cancels at no seam (or end) lengthens the word by exactly
     the inserted length, so it is skipped when that overshoots max_len;
-    a move that cancels is built and then checked.  States are found in
-    the same order, and the state budget fires at the same child, as if
-    every child were built and the long ones dropped.
+    an insertion that cancels is built only when enough letters cancel
+    for it to fit.  States are found in the same order, and the state
+    budget fires at the same child, as if every child were built and
+    the long ones dropped.
 
     ``exhausted`` is False when the state budget was hit, i.e. absence
     from the ball is then evidence only at the explored budget.
@@ -114,76 +123,115 @@ def closure_ball(
         raise ValueError("relator letters must be nonzero and at most n_generators in size")
     rels = tuple(reduce_ints(r) for r in relators)
     ball = ClosureBall(rels)
-    parents = ball.parents
-    parents[()] = ((), ("root",))
+    k = n_generators
+    base = 2 * k + 1
+    digit = packed_digits(k)
+    inverse = [0, *range(k + 1, base), *range(1, k + 1)]  # by digit; 0 (an end) stays 0
+    # powers of the base, up to the longest word or rotation
+    pw = [base**i for i in range(max(max_len, max(map(len, rels), default=0)) + 1)]
     ins_moves = []
     for ridx, rel in enumerate(rels):
         for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
             # each distinct rotation once, at its first offset
             offsets: dict[IntWord, int] = {}
-            for k in range(len(oriented)):
-                offsets.setdefault(oriented[k:] + oriented[:k], k)
+            for i in range(len(oriented)):
+                offsets.setdefault(oriented[i:] + oriented[:i], i)
             for rotated, rot in offsets.items():
                 # a rotation of a relator that is not cyclically reduced
                 # is not reduced itself
-                ins_moves.append((ridx, sign, rot, reduce_ints(rotated)))
-    letters = [g for g in range(1, n_generators + 1)] + [
-        -g for g in range(1, n_generators + 1)
-    ]
+                if oriented[0] == -oriented[-1]:
+                    rotated = reduce_ints(rotated)
+                code = icode = 0  # the rotation and its inverse, packed
+                for x in rotated:
+                    code = code * base + digit[x]
+                for x in reversed(rotated):
+                    icode = icode * base + digit[-x]
+                m = len(rotated)
+                plain = (0, m, code, 0, rotated, (ridx, sign, rot))
+                ins_moves.append((code // pw[m - 1], code % base, icode, plain))
     # fits[(room, before, after)]: the insertion moves, in ins_moves
     # order, whose child can fit when room = max_len - len(word) and the
-    # word reads `before` and `after` on either side of the insertion
-    # point (0 at an end of the word): those that do not cancel at the
-    # left seam and are no longer than room or cancel at the right seam.
-    # There are at most (max_len+1)(2g+1)^2 keys, and the lists share
-    # ins_moves' tuples.
-    fits: dict[tuple[int, int, int], list[tuple[int, int, int, IntWord]]] = {}
-    queue: deque[tuple[IntWord, int]] = deque([((), 0)])
+    # word reads the digits `before` and `after` on either side of the
+    # insertion point (0 at an end of the word): those that do not cancel
+    # at the left seam and are no longer than room or cancel at the right
+    # seam.  Each carries `need`, the letters that must cancel at the
+    # right seam: 0 for a plain concatenation, else at least 1 and enough
+    # that the child fits, with `target`, the packed inverse of the
+    # rotation's last `need` letters.  There are at most
+    # (max_len+1)(2g+1)^2 keys.
+    fits: dict[tuple[int, int, int], list[tuple]] = {}
+    parents = ball.parents
+    parents[()] = ((), ("root",))
+    seen = {0}  # the packed states
+    queue: deque[tuple[int, IntWord, int]] = deque([(0, (), 0)])
     while queue:
-        word, depth = queue.popleft()
+        cur, word, depth = queue.popleft()
         if depth >= max_depth:
             continue
         n = len(word)
         room = max_len - n
         for pos in range(n + 1):
-            before = word[pos - 1] if pos else 0
-            after = word[pos] if pos < n else 0
+            rem = n - pos
+            head, tail = divmod(cur, pw[rem])
+            before = head % base
+            after = tail // pw[rem - 1] if rem else 0
             moves = fits.get((room, before, after))
             if moves is None:
                 moves = fits[room, before, after] = []
-                for move in ins_moves:
-                    rotated = move[3]
-                    if rotated[0] != -before and (len(rotated) <= room or rotated[-1] == -after):
-                        moves.append(move)
-            head, tail = word[:pos], word[pos:]
-            for ridx, sign, rot, rotated in moves:
-                if rotated[-1] == -after:
-                    new = multiply_ints(head + rotated, tail)
-                    if len(new) > max_len:
+                left, right = inverse[before], inverse[after]
+                for first, last, icode, plain in ins_moves:
+                    if first == left:
                         continue
+                    _, m, code, _, rotated, info = plain
+                    if last != right:
+                        if m <= room:
+                            moves.append(plain)
+                    else:
+                        need = max(1, (m - room + 1) // 2)
+                        moves.append((need, m, code, icode // pw[m - need], rotated, info))
+            for need, m, code, target, rotated, info in moves:
+                if not need:
+                    new = (head * pw[m] + code) * pw[rem] + tail
                 else:
-                    new = head + rotated + tail
-                if new in parents:
+                    if need > rem or tail // pw[rem - need] != target:
+                        continue
+                    # cancel the `need` letters, then any more at the seam,
+                    # through the whole rotation into the word if it gets there
+                    h, r = (head * pw[m] + code) // pw[need], rem - need
+                    t = tail % pw[r]
+                    while h and r and h % base == inverse[t // pw[r - 1]]:
+                        h //= base
+                        r -= 1
+                        t %= pw[r]
+                    new = h * pw[r] + t
+                if new in seen:
                     continue
                 if len(parents) >= max_states:
                     ball.exhausted = False
                     return ball
-                parents[new] = (word, ("ins", pos, ridx, sign, rot))
-                queue.append((new, depth + 1))
-        if room >= 2 or not word:
-            conj_letters = letters
-        else:
-            conj_letters = [g for g in letters if g == -word[0] or g == word[-1]]
-        for letter in conj_letters:
-            new = word[1:] if word and word[0] == -letter else (letter,) + word
-            new = new[:-1] if new and new[-1] == letter else new + (-letter,)
-            if len(new) > max_len or new in parents:
+                seen.add(new)
+                child = word[:pos] + rotated
+                child = child + word[pos:] if not need else multiply_ints(child, word[pos:])
+                parents[child] = (word, ("ins", pos) + info)
+                queue.append((new, child, depth + 1))
+        # conjugating letters in letter order, each generator before the
+        # inverses; one that cancels at neither end adds 2 letters
+        first = cur // pw[n - 1] if n else 0
+        for d in range(1, base) if room >= 2 or not n else sorted({inverse[first], cur % base}):
+            e = inverse[d]
+            new, length = (cur % pw[n - 1], n - 1) if first == e else (d * pw[n] + cur, n + 1)
+            new, length = (new // base, length - 1) if new % base == d else (new * base + e, length + 1)
+            if length > max_len or new in seen:
                 continue
             if len(parents) >= max_states:
                 ball.exhausted = False
                 return ball
-            parents[new] = (word, ("conj", letter))
-            queue.append((new, depth + 1))
+            seen.add(new)
+            letter = d if d <= k else k - d
+            child = word[1:] if first == e else (letter,) + word
+            child = child[:-1] if child and child[-1] == letter else child + (-letter,)
+            parents[child] = (word, ("conj", letter))
+            queue.append((new, child, depth + 1))
     return ball
 
 

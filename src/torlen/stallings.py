@@ -18,7 +18,9 @@ from .words import (
     ints_to_word,
     invert_ints,
     multiply_ints,
+    packed_digits,
     reduce_ints,
+    spell_packed,
     word_to_ints,
 )
 
@@ -262,12 +264,10 @@ def closure_members(
     (Closure over the raw generators at radius max_length is *not*:
     short members can require long intermediate products.)
 
-    The search packs each reduced word into one int, in base 2k+1 over
-    the k basis symbols: symbol i is digit i+1, its inverse digit
-    k+i+1, and the last letter is the lowest digit.  No digit is 0, so
-    the int alone names the word, and the empty word is 0.  Appending a
-    word is ``cur * base**len + code``; a cancelling letter is peeled
-    off with ``cur // base``.
+    The search packs each reduced word into one int over the k basis
+    symbols (``words.packed_digits``).  Appending a word is
+    ``cur * base**len + code``; a cancelling letter is peeled off with
+    ``cur // base``.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
@@ -276,7 +276,7 @@ def closure_members(
     index = {g: i for i, g in enumerate(symbols)}
     k = len(symbols)
     base = 2 * k + 1
-    digit = {x: x if x > 0 else k - x for i in range(1, k + 1) for x in (i, -i)}
+    digit = packed_digits(k)
     # one move per basis word and inverse g; for each suffix rest = g[i:],
     # the digit that cancels g[i], base**len(rest) and the code of rest
     moves = []
@@ -315,17 +315,7 @@ def closure_members(
             if new not in seen:
                 seen[new] = length
                 queue.append(new)
-    # spell each member from its prefix one letter shorter, spelling
-    # that prefix first when it is not yet known
+    members = [w for w, length in seen.items() if length <= max_length]
     letter = {digit[x]: (symbols[abs(x) - 1], 1 if x > 0 else -1) for x in digit}
-    spelled = {0: ()}
-    for w, length in seen.items():
-        if length <= max_length:
-            heads = []
-            while w not in spelled:
-                heads.append(w)
-                w //= base
-            for h in reversed(heads):
-                spelled[h] = spelled[w] + (letter[h % base],)
-                w = h
-    return frozenset(spelled[w] for w, length in seen.items() if length <= max_length)
+    spelled = spell_packed(members, base, letter)
+    return frozenset(spelled[w] for w in members)

@@ -237,6 +237,7 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     certificates = list(certificates)  # keeps every keyed object alive
     index = {g: i for i, g in enumerate(p.generators)}
     base = {reduce_ints(word_to_ints(r, index)) for r in p.relators}
+    letters = {(g, s): (i + 1) * s for g, i in index.items() for s in (1, -1)}
     spelled: dict[int, IntWord | None] = {}
     held: dict[int, bool] = {}
     pairs: dict[tuple[int, int, int], frozenset[IntWord] | None] = {}
@@ -244,7 +245,10 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
 
     def ints(w: Word) -> IntWord | None:
         if id(w) not in spelled:
-            spelled[id(w)] = word_to_ints(w, index) if w.symbols() <= index.keys() else None
+            try:
+                spelled[id(w)] = tuple(map(letters.__getitem__, w.letters))
+            except KeyError:  # a letter outside p
+                spelled[id(w)] = None
         return spelled[id(w)]
 
     def holds(cert: TorsionCertificate) -> bool:
@@ -346,9 +350,9 @@ def torsion_certificate_search(
         rel_words = [ints_to_word(r, names) for r in ball.relators]
         # A member head core tail with core = root^n is w^n for the
         # reduced word w = head root tail.  Shorter members come first,
-        # so each w keeps its least n.  Conjugators are spelled once per
-        # level; w is keyed by its core only if the next level may adjoin it.
-        spelled: dict[IntWord, Word] = {}
+        # so each w keeps its least n; with n = 1 every nonempty member
+        # is its own power.  w is keyed by its core only if the next
+        # level may adjoin it.
         least: dict[IntWord, tuple[int, IntWord]] = {}
         for power in sorted(ball.parents, key=len):
             head, core, tail = cyclic_split_ints(power)
@@ -356,15 +360,30 @@ def torsion_certificate_search(
                 root = core[: len(core) // n]
                 if root * n == core:
                     least.setdefault(head + root + tail, (n, power))
+        # Each member's factors are spelled once, in the ball's order, so
+        # a parent is spelled before its children: an insertion puts one
+        # factor in front of its parent's, a conjugation changes every
+        # conjugator.  Conjugators are spelled once per level.
+        conjugators: dict[IntWord, Word] = {}
+        spelled: dict[IntWord, tuple] = {(): ()}
+        for state, (parent, move) in ball.parents.items():
+            if move[0] == "ins":
+                raw_factors = ball.factors(state)[:1]
+            elif move[0] == "conj":
+                raw_factors = ball.factors(state)
+            else:
+                continue
+            for c, _, _ in raw_factors:
+                if c not in conjugators:
+                    conjugators[c] = ints_to_word(c, names)
+            factors = tuple((conjugators[c], rel_words[ridx], sign) for c, ridx, sign in raw_factors)
+            spelled[state] = factors + spelled[parent] if move[0] == "ins" else factors
         found: list[TorsionCertificate] = []
         new_by_core: dict[IntWord, TorsionCertificate] = {}
-        for w in sorted(least, key=lambda w: (len(w), [2 * abs(x) - (x > 0) for x in w])):
+        rank = {x: 2 * abs(x) - (x > 0) for x in range(-len(names), len(names) + 1)}
+        for w in sorted(least, key=lambda w: (len(w), *map(rank.__getitem__, w))):
             n, power = least[w]
-            raw_factors = ball.factors(power)
-            for c, _, _ in raw_factors:
-                if c not in spelled:
-                    spelled[c] = ints_to_word(c, names)
-            factors = tuple((spelled[c], rel_words[ridx], sign) for c, ridx, sign in raw_factors)
+            factors = spelled[power]
             cert = TorsionCertificate(
                 ints_to_word(w, names),
                 n,

@@ -259,3 +259,28 @@ def cyclic_key(iw: IntWord) -> IntWord:
     inverse."""
     _, core, _ = cyclic_split_ints(iw)
     return least_rotation(core, invert_ints(core))
+
+
+def packed_digits(k: int) -> dict[int, int]:
+    """The digit of each letter ``±1 .. ±k`` when a freely reduced int
+    word packs into one int in base 2k+1: x > 0 is digit x, -x digit
+    k+x, and the last letter is the lowest digit.  No digit is 0, so the
+    int alone names the word, and the empty word is 0."""
+    return {x: x if x > 0 else k - x for i in range(1, k + 1) for x in (i, -i)}
+
+
+def spell_packed(packed: Iterable[int], base: int, letters: Mapping[int, object]) -> dict:
+    """Spell each packed word as the tuple of ``letters[digit]``, first
+    letter first.  A word is spelled from its prefix one letter shorter,
+    which is spelled first when it is not yet known; the result maps
+    every word and prefix spelled, and 0 to ()."""
+    spelled: dict = {0: ()}
+    for w in packed:
+        heads = []
+        while w not in spelled:
+            heads.append(w)
+            w //= base
+        for h in reversed(heads):
+            spelled[h] = spelled[w] + (letters[h % base],)
+            w = h
+    return spelled

@@ -6,7 +6,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
@@ -161,6 +161,12 @@ small_relators = st.lists(
 # there too, and whose shift two places left does not
 @example([(-1, -2, 3)], 3, 4, 3, 2000)
 @example([(1, -1), (2, 2)], 2, 4, 3, 2000)  # a a^-1 reduces to the empty relator
+# a rotation of 3 letters at room 0 fits only if 2 letters cancel.  Before
+# a^-1 b^-1 a b, a b a cancels exactly 2 (giving a a b) and b a a only 1;
+# after the a^-1 of a b^-1 a^-1 b, a^-1 a^-1 b^-1 has 1 letter to cancel
+@example([(1, 1, 2)], 2, 4, 3, 2000)
+# a^-3 after the b of b a a a b^-1 cancels all 3 letters, then b b^-1
+@example([(1, 1, 1)], 2, 5, 3, 2000)
 def test_closure_ball_matches_whole_word_reduction(
     relators, n_generators, max_len, max_depth, max_states
 ):
@@ -606,20 +612,39 @@ def dies_in(q, w):
     return not normal_form(spec, w)
 
 
-@pytest.mark.parametrize("p", [build_pjkl(2, 2, 2), build_pjkl(2, 3, 4), build_pn(3)])
-def test_certificates_die_in_their_quotient(p):
+def assert_certificates_die(p, word_bound):
     # the recognizer and the consequence ball are two engines: a level-i
-    # certificate word must be trivial in the i-th torsion quotient Q_i
+    # certificate word must be trivial in the i-th torsion quotient Q_i.
+    # The check does not depend on the search, so it holds whatever order
+    # the search finds its certificates in.
     report = torsion_length(p)
     assert report.exact
     killed = [set()]  # the generators killed in steps 1..i
     for _, step_killed, _ in report.trace:
         killed.append(killed[-1] | step_killed)
     for level in range(1, report.value + 1):
-        for cert in torsion_certificate_search(p, level=level, word_bound=4).certificates:
+        for cert in torsion_certificate_search(p, level=level, word_bound=word_bound).certificates:
             q = report.trace[cert.level - 1][2]
             image = substitute(cert.word, {g: Word() for g in killed[cert.level]})
             assert dies_in(q, image), (cert.word, cert.level)
+
+
+@pytest.mark.parametrize("p", [build_pjkl(2, 2, 2), build_pjkl(2, 3, 4), build_pn(3)])
+def test_certificates_die_in_their_quotient(p):
+    assert_certificates_die(p, 4)
+
+
+def test_chain_certificates_die_in_their_quotient():
+    # 10,378 certificates at word bound 3; at 4 the searches take about 20 s
+    assert_certificates_die(build_chain(3), 3)
+
+
+@seed(26)
+@settings(max_examples=50, deadline=None)
+@given(structured_presentations())
+def test_class_member_certificates_die_in_their_quotient(p):
+    assume(torsion_length(p).exact)
+    assert_certificates_die(p, 3)
 
 
 @pytest.mark.parametrize("budget", ["word_bound", "exponent_bound", "consequence_budget"])
