@@ -222,7 +222,8 @@ def test_closure_ball_factors_match_reference(
 def test_closure_ball_budgets_are_monotone(relators, n_generators, max_len, max_depth, budgets):
     # budget contracts that hold whatever order the ball finds states in:
     # a smaller state budget finds a prefix of a larger one's states, and
-    # an exhausted ball is the same at every larger budget
+    # an exhausted ball is the same at every larger budget.  5000 states
+    # hold all 4,687 reduced words of up to 5 letters over 3 generators.
     balls = [
         closure_ball(relators, n_generators, max_len, max_depth, b)
         for b in sorted(budgets) + [5000]
