@@ -10,7 +10,7 @@ from torlen.cli import main
 from torlen.constructions import build_pjkl, build_pn
 from torlen.coset import CosetTable, table_error, todd_coxeter
 from torlen.presentation import Presentation, abelianization, adjoin_relators
-from torlen.stallings import UnionFind
+from torlen.stallings import UnionFind, build_subgroup_graph
 from torlen.words import Word, cyclic_split_ints, free_reduce, word_to_ints
 
 from test_golden import coxeter_sym, fibonacci, standardize
@@ -639,3 +639,112 @@ def test_matches_prepared_reference_exactly(case, with_subgroup, max_cosets):
     t = todd_coxeter(p, subgroup, max_cosets=max_cosets)
     expected = reference_prepared_todd_coxeter(p, subgroup, max_cosets)
     assert (t.status, t.index, t.limit, t.rows) == expected
+
+
+# -- contracts between engines and across budgets -----------------------------
+# These hold under any definition order, so they keep checking the
+# enumerator when a change retires a frozen reference's example.
+
+
+def random_word(rng, gens, min_len, max_len):
+    letters = [(g, s) for g in gens for s in (1, -1)]
+    return Word(tuple(rng.choice(letters) for _ in range(rng.randint(min_len, max_len))))
+
+
+def random_presentation(rng):
+    """1-3 generators and 0-4 relators of 1-6 letters."""
+    gens = GENERATORS[: rng.randint(1, 3)]
+    return Presentation(gens, tuple(random_word(rng, gens, 1, 6) for _ in range(rng.randint(0, 4))))
+
+
+def stabilizer_generators(perms):
+    """The Schreier generators of the stabilizer of point 0 under the
+    action of F(a, b) given by the permutations a, b of 0..n-1, or None
+    when the action is not transitive."""
+    inverse = {g: {v: u for u, v in enumerate(perm)} for g, perm in perms.items()}
+    path = {0: Word.empty()}
+    for u in list(path):
+        for g, s in (("a", 1), ("a", -1), ("b", 1), ("b", -1)):
+            v = perms[g][u] if s > 0 else inverse[g][u]
+            if v not in path:
+                path[v] = path[u] * Word.gen(g, s)
+    if len(path) < len(perms["a"]):
+        return None
+    loops = (path[u] * Word.gen(g) * path[perm[u]].inverse() for g, perm in perms.items() for u in path)
+    return [w for w in map(free_reduce, loops) if w]
+
+
+def folded_rows(graph):
+    """The folded graph as a coset table over a, a^-1, b, b^-1, numbered
+    breadth-first from the base, or None when some vertex lacks a letter."""
+    step = [{} for _ in range(graph.n_vertices)]
+    for u, g, v in graph.edges:
+        step[u][g, 1], step[v][g, -1] = v, u
+    if any(len(s) < 4 for s in step):
+        return None
+    rows = [tuple(s[x] for x in (("a", 1), ("a", -1), ("b", 1), ("b", -1))) for s in step]
+    # put the base first, so standardize numbers from it
+    order = [graph.base] + [v for v in range(graph.n_vertices) if v != graph.base]
+    number = {v: k for k, v in enumerate(order)}
+    return standardize(tuple(tuple(number[c] for c in rows[v]) for v in order))
+
+
+def test_finite_index_tables_are_folded_graphs():
+    # A subgroup of a free group has finite index iff its folded graph has
+    # every letter at every vertex, and then that graph is its coset table
+    # (Kapovich & Myasnikov 2002).  Some draws keep a random part of the
+    # Schreier generators, so some graphs are not complete.
+    rng = random.Random(3)
+    free = Presentation(("a", "b"), ())
+    complete = incomplete = 0
+    while complete + incomplete < 900:
+        n = rng.randint(1, 12)
+        perms = {g: rng.sample(range(n), n) for g in "ab"}
+        if (words := stabilizer_generators(perms)) is None:
+            continue
+        if rng.random() < 0.3:
+            words = rng.sample(words, rng.randint(0, len(words)))
+        rows = folded_rows(build_subgroup_graph(("a", "b"), words))
+        t = todd_coxeter(free, words, max_cosets=2000)
+        if rows is None:
+            assert t.status == "bound_exceeded"
+            incomplete += 1
+        else:
+            assert t.status == "complete" and t.rows == rows
+            complete += 1
+    assert complete > 600 and incomplete > 100
+
+
+def test_abelian_quotients_match_their_smith_normal_form():
+    # With every commutator adjoined the group is its abelianization: free
+    # rank 0 means order = the product of the torsion coefficients, free
+    # rank above 0 an infinite group, which no budget can complete.
+    rng = random.Random(4)
+    finite = 0
+    for _ in range(1200):
+        p = random_presentation(rng)
+        commutators = [
+            Word.from_text(f"{x} {y} {x}^-1 {y}^-1") for x, y in combinations(p.generators, 2)
+        ]
+        ab = abelianization(p)
+        t = todd_coxeter(adjoin_relators(p, commutators), max_cosets=300)
+        if ab.free_rank:
+            assert t.status == "bound_exceeded"
+        else:
+            assert t.status == "complete" and t.index == math.prod(ab.torsion_coefficients)
+            finite += 1
+    assert 300 < finite < 1000
+
+
+def test_complete_tables_survive_larger_budgets():
+    rng = random.Random(5)
+    complete = 0
+    for _ in range(1200):
+        p = random_presentation(rng)
+        subgroup = [random_word(rng, p.generators, 1, 4) for _ in range(rng.randint(0, 2))]
+        tables = [todd_coxeter(p, subgroup, max_cosets=b) for b in (4, 9, 30, 120, 600)]
+        done = [t for t in tables if t.status == "complete"]
+        assert tables[len(tables) - len(done) :] == done
+        assert all(t.rows == done[0].rows for t in done)
+        complete += bool(done)
+    assert complete > 500

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -11,6 +12,7 @@ from torlen.freeprod import (
     NoWitnessUpToBound,
     SeparationWitness,
     TorsionWitness,
+    _enumerate_normal_forms,
     conjugate_separation_search,
     is_torsion,
     nf_invert,
@@ -284,3 +286,124 @@ def test_equal_normal_forms_act_equally_on_a_finite_quotient(case):
         assert normal_form(spec, v) == form
     if normal_form(spec, v) == form:
         assert fixes_every_coset(u * v.inverse())
+
+
+# -- frozen search reference --------------------------------------------------
+# A frozen copy of the separation search and the torsion classifier with
+# their own exponent helpers: every (factor, exponent) list is rebuilt per
+# prefix, a torsion word's end syllables are merged by hand, and every j
+# is tried in turn.
+
+
+def reference_normalize_exponent(exponent, order):
+    if order is None:
+        return exponent
+    return exponent % order
+
+
+def reference_exponent_candidates(spec, factor, max_exponent):
+    order = spec.order_of(factor)
+    if order is None:
+        return [e for k in range(1, max_exponent + 1) for e in (k, -k)]
+    return list(range(1, order))
+
+
+def reference_enumerate_normal_forms(spec, max_syllables, max_exponent):
+    yield NormalForm()
+    n_factors = len(spec.factors)
+    for length in range(1, max_syllables + 1):
+        def extend(prefix):
+            if len(prefix) == length:
+                yield NormalForm(prefix)
+                return
+            for factor in range(n_factors):
+                if prefix and prefix[-1][0] == factor:
+                    continue
+                for exponent in reference_exponent_candidates(spec, factor, max_exponent):
+                    yield from extend(prefix + ((factor, exponent),))
+
+        yield from extend(())
+
+
+def reference_conjugate_separation_search(spec, a, b, max_syllables, max_exponent):
+    if max_syllables < 0 or max_exponent < 0:
+        raise ValueError("max_syllables and max_exponent must be >= 0")
+    nf_a = normal_form(spec, a)
+    nf_b = normal_form(spec, b)
+    if not nf_a or not nf_b:
+        raise FactorError("a and b must be nontrivial")
+    if len(nf_a) != 1 or len(nf_b) != 1 or nf_a.syllables[0][0] == nf_b.syllables[0][0]:
+        raise FactorError("a and b must lie in distinct factors")
+    ab = nf_multiply(spec, nf_a, nf_b)
+    member_bound = max_syllables + 2
+    members = {nf_power(spec, ab, m).syllables for m in range(-member_bound, member_bound + 1)}
+    signed = [e for k in range(1, max_exponent + 1) for e in (k, -k)]
+    powers = {k: nf_power(spec, ab, k) for k in signed}
+    for x in reference_enumerate_normal_forms(spec, max_syllables, max_exponent):
+        if x.syllables in members:
+            continue
+        x_inv = nf_invert(spec, x)
+        for i in signed:
+            lhs = nf_multiply(spec, nf_multiply(spec, x, powers[i]), x_inv)
+            for j in signed:
+                if lhs == powers[j]:
+                    return SeparationWitness(x.to_word(spec), i, j)
+    return NoWitnessUpToBound(max_syllables, max_exponent)
+
+
+def reference_is_torsion(spec, w):
+    syl = list(normal_form(spec, w).syllables)
+    conj = []
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        first = syl.pop(0)
+        conj.append(first)
+        factor, exponent = syl.pop()
+        merged = reference_normalize_exponent(exponent + first[1], spec.order_of(factor))
+        if merged:
+            syl.append((factor, merged))
+    conj_word = NormalForm(tuple(conj)).to_word(spec)
+    if not syl:
+        return True, TorsionWitness(conj_word, Word.empty())
+    if len(syl) == 1 and spec.order_of(syl[0][0]) is not None:
+        i, e = syl[0]
+        return True, TorsionWitness(conj_word, Word.gen(spec.generator(i), e))
+    return False, None
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (FactorError, ValueError) as e:
+        return type(e), str(e)
+
+
+def random_spec(rng):
+    orders = [rng.choice((2, 2, 3, 4, 5, None)) for _ in range(rng.randint(2, 3))]
+    return CyclicFactorSpec(tuple(zip("xyz", orders)))
+
+
+def test_separation_search_matches_frozen_reference():
+    rng = random.Random(27)
+    witnesses = 0
+    for _ in range(100):
+        spec = random_spec(rng)
+        # distinct factors; an exponent 2 in a factor of order 2 is trivial
+        factors = rng.sample(spec.factors, 2)
+        a, b = (Word.gen(name, rng.choice((1, -1, 1, 2))) for name, _ in factors)
+        bounds = rng.randint(0, 4), rng.randint(0, 3)
+        got = outcome(conjugate_separation_search, spec, a, b, *bounds)
+        assert got == outcome(reference_conjugate_separation_search, spec, a, b, *bounds)
+        assert list(_enumerate_normal_forms(spec, *bounds)) == list(
+            reference_enumerate_normal_forms(spec, *bounds)
+        )
+        witnesses += isinstance(got, SeparationWitness)
+    assert witnesses >= 5
+
+
+def test_is_torsion_matches_frozen_reference():
+    rng = random.Random(27)
+    for _ in range(8000):
+        spec = random_spec(rng)
+        letters = [(name, s) for name, _ in spec.factors for s in (1, -1)]
+        w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+        assert is_torsion(spec, w) == reference_is_torsion(spec, w)
