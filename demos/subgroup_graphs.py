@@ -50,4 +50,4 @@ agreeing = sum(
 print(f"closure oracle agrees on all {len(members)} members up to length 6:",
       agreeing == len(members))
 print("basis via spanning tree:",
-      [w.to_text() for w in free_basis(graph).words])
+      [w.to_text() for w in free_basis(graph)])

@@ -49,7 +49,6 @@ from .presentation import (
     serialize_presentation,
 )
 from .stallings import (
-    FreeBasis,
     SubgroupGraph,
     build_subgroup_graph,
     closure_members,

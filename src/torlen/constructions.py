@@ -156,7 +156,7 @@ def build_ln(p: Presentation) -> LnResult:
     y = fresh_symbol("y", taken | {x})
 
     graph = build_subgroup_graph(p.generators, p.relators)
-    basis = free_basis(graph).words
+    basis = free_basis(graph)
     r = len(basis)
     degenerate = r == 0
 

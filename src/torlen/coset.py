@@ -12,7 +12,9 @@ relators are prepared once, from their cyclic cores:
 - the relators left, freely and cyclically reduced over the columns,
   are scanned shortest first (a stable sort, as ACE does), followed by
   every other cyclic conjugate of each, once up to inversion (the
-  Mendelsohn variant of HLT).
+  Mendelsohn variant of HLT);
+- the subgroup words are freely reduced over the columns, as the
+  relators are, and scanned at coset 0 first.
 
 Each scanned loop is a relator of the same group, so completion still
 certifies the index of the given subgroup; exceeding the coset budget
@@ -30,7 +32,7 @@ from typing import Iterable
 
 from .presentation import Presentation
 from .stallings import UnionFind
-from .words import Word, cyclic_split_ints, free_reduce, word_to_ints
+from .words import Word, cyclic_split_ints, word_to_ints
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,14 @@ class CosetTable:
 
 
 def _prepare_relators(
-    p: Presentation, index: dict[str, int]
-) -> tuple[list[int | None], list[int], list[tuple[int, ...]]]:
-    """Columns and scanned loops from the relators' cyclic cores, as the
-    module docstring describes.  Returns (col, inv, words): col[2i] and
-    col[2i+1] are the columns of generator i and of its inverse (None
-    for a killed generator), inv[c] is the inverse column of c and
-    words are the loops to scan, in order."""
+    p: Presentation, index: dict[str, int], subgroup: list[Word]
+) -> tuple[list[int | None], list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Columns and scanned words from the relators' cyclic cores and the
+    subgroup words, as the module docstring describes.  Returns (col,
+    inv, words, subgroup_words): col[2i] and col[2i+1] are the columns
+    of generator i and of its inverse (None for a killed generator),
+    inv[c] is the inverse column of c, words are the loops to scan, in
+    order, and subgroup_words the subgroup words over the columns."""
     cores = [cyclic_split_ints(word_to_ints(r, index))[1] for r in p.relators]
     killed = {abs(w[0]) - 1 for w in cores if len(w) == 1}
     involutions = {abs(w[0]) - 1 for w in cores if len(w) == 2 and w[0] == w[1]}
@@ -75,16 +78,21 @@ def _prepare_relators(
             col += [c, c + 1]
             inv += [c + 1, c]
 
-    words = []
-    for core in cores:
+    def reduce(word: tuple[int, ...]) -> list[int]:
+        """The word over the columns, killed letters deleted, freely reduced."""
         stack: list[int] = []
-        for x in core:
+        for x in word:
             if (c := col[2 * abs(x) - 2 + (x < 0)]) is None:
                 continue
             if stack and stack[-1] == inv[c]:
                 stack.pop()
             else:
                 stack.append(c)
+        return stack
+
+    words = []
+    for core in cores:
+        stack = reduce(core)
         lo, hi = 0, len(stack)
         while hi - lo > 1 and stack[hi - 1] == inv[stack[lo]]:
             lo, hi = lo + 1, hi - 1
@@ -102,7 +110,8 @@ def _prepare_relators(
             if (v := w[k:] + w[:k]) not in seen:
                 seen.update((v, inverse(v)))
                 conjugates.append(v)
-    return col, inv, words + conjugates
+    subgroup_words = [tuple(reduce(word_to_ints(w, index))) for w in subgroup]
+    return col, inv, words + conjugates, subgroup_words
 
 
 def todd_coxeter(
@@ -118,13 +127,12 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     index = {g: i for i, g in enumerate(p.generators)}
-    subgroup = []
-    for w in subgroup_generators:
+    subgroup = list(subgroup_generators)
+    for w in subgroup:
         if extra := w.symbols() - index.keys():
             raise ValueError(f"subgroup word uses undeclared generator(s) {sorted(extra)}")
-        subgroup.append(free_reduce(w))
 
-    col, inv, words = _prepare_relators(p, index)
+    col, inv, words, subgroup_words = _prepare_relators(p, index, subgroup)
     # HLT fills a coset's empty entries once every loop has been scanned
     # there.  The loops come with all their cyclic conjugates, up to
     # inversion, so by then each column a loop holds, and its inverse, is
@@ -137,9 +145,6 @@ def todd_coxeter(
         return word, tuple(map(inv.__getitem__, word)), len(word)
 
     relators = [with_back(w) for w in words]
-    # a killed generator's letters are deleted, as from the relators
-    columns = (tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters) for w in subgroup)
-    subgroup_words = [with_back(tuple(c for c in w if c is not None)) for w in columns]
 
     # One row per coset, one column per letter; inv[x] is the column of
     # x's inverse letter (x itself for an involution).  Between scans
@@ -193,7 +198,7 @@ def todd_coxeter(
     # HLT: scan every loop at each live coset in turn, the subgroup words
     # first at coset 0.  A coincidence keeps the lesser coset, so coset 0
     # is never merged away.
-    first = subgroup_words + relators
+    first = [with_back(w) for w in subgroup_words] + relators
     alpha = 0
     while alpha < len(table):
         if parent[alpha] == alpha:

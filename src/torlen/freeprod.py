@@ -90,12 +90,6 @@ def _spell(spec: CyclicFactorSpec, syllables) -> Word:
     return _word(tuple(letters))
 
 
-def _normalize_exponent(exponent: int, order: Optional[int]) -> int:
-    if order is None:
-        return exponent
-    return exponent % order  # 0..order-1; 0 means the syllable vanishes
-
-
 def _push(stack: list[tuple[int, int]], factor: int, exponent: int, spec: CyclicFactorSpec):
     """Multiply an alternating syllable stack by one syllable.  The
     syllable merges with the top one at most, and if that vanishes the
@@ -103,8 +97,9 @@ def _push(stack: list[tuple[int, int]], factor: int, exponent: int, spec: Cyclic
     normal form."""
     if stack and stack[-1][0] == factor:
         exponent += stack.pop()[1]
-    exponent = _normalize_exponent(exponent, spec.order_of(factor))
-    if exponent != 0:
+    if (order := spec.order_of(factor)) is not None:
+        exponent %= order  # 0..order-1; 0 means the syllable vanishes
+    if exponent:
         stack.append((factor, exponent))
 
 
@@ -177,10 +172,7 @@ def is_torsion(spec: CyclicFactorSpec, w: Word) -> tuple[bool, Optional[TorsionW
     while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
         first = syl.pop(0)
         conj.append(first)
-        factor, exponent = syl.pop()
-        merged = _normalize_exponent(exponent + first[1], spec.order_of(factor))
-        if merged:
-            syl.append((factor, merged))
+        _push(syl, *first, spec)
     conj_word = _spell(spec, conj)
     if not syl:
         return True, TorsionWitness(conj_word, Word.empty())
@@ -212,30 +204,20 @@ def _signed_range(bound: int) -> Iterator[int]:
         yield -k
 
 
-def _exponent_candidates(spec: CyclicFactorSpec, factor: int, max_exponent: int) -> list[int]:
-    order = spec.order_of(factor)
-    if order is None:
-        return [e for e in _signed_range(max_exponent)]
-    return list(range(1, order))
-
-
 def _enumerate_normal_forms(spec: CyclicFactorSpec, max_syllables: int, max_exponent: int):
     """Normal forms in length-lexicographic order (syllable count, then
     factor index / exponent position), identity first."""
+    syllables = [
+        (i, e)
+        for i, (_, order) in enumerate(spec.factors)
+        for e in (_signed_range(max_exponent) if order is None else range(1, order))
+    ]
     yield NormalForm()
-    n_factors = len(spec.factors)
-    for length in range(1, max_syllables + 1):
-        def extend(prefix: tuple[tuple[int, int], ...]):
-            if len(prefix) == length:
-                yield NormalForm(prefix)
-                return
-            for factor in range(n_factors):
-                if prefix and prefix[-1][0] == factor:
-                    continue
-                for exponent in _exponent_candidates(spec, factor, max_exponent):
-                    yield from extend(prefix + ((factor, exponent),))
-
-        yield from extend(())
+    # each length's forms extend the last length's, in order
+    level: list[tuple[tuple[int, int], ...]] = [()]
+    for _ in range(max_syllables):
+        level = [p + (s,) for p in level for s in syllables if not p or p[-1][0] != s[0]]
+        yield from map(NormalForm, level)
 
 
 def conjugate_separation_search(
@@ -263,15 +245,17 @@ def conjugate_separation_search(
     member_bound = max_syllables + 2
     members = {nf_power(spec, ab, m).syllables for m in range(-member_bound, member_bound + 1)}
     powers = {k: nf_power(spec, ab, k) for k in _signed_range(max_exponent)}
+    # ab has infinite order (a and b lie in distinct factors), so its
+    # powers are pairwise distinct and at most one j can match
+    exponent_of = {power.syllables: k for k, power in powers.items()}
     for x in _enumerate_normal_forms(spec, max_syllables, max_exponent):
         if x.syllables in members:
             continue
         x_inv = nf_invert(spec, x)
         for i in _signed_range(max_exponent):
             lhs = nf_multiply(spec, nf_multiply(spec, x, powers[i]), x_inv)
-            for j in _signed_range(max_exponent):
-                if lhs == powers[j]:
-                    return SeparationWitness(x.to_word(spec), i, j)
+            if j := exponent_of.get(lhs.syllables):
+                return SeparationWitness(x.to_word(spec), i, j)
     return NoWitnessUpToBound(max_syllables, max_exponent)
 
 

@@ -153,12 +153,7 @@ def _bfs_tree(maps, base) -> dict[int, tuple[int, int]]:
     return tree
 
 
-@dataclass(frozen=True)
-class FreeBasis:
-    words: tuple[Word, ...]
-
-
-def free_basis(graph: SubgroupGraph) -> FreeBasis:
+def free_basis(graph: SubgroupGraph) -> tuple[Word, ...]:
     """One basis word per non-tree edge of the breadth-first spanning
     tree: base-to-source path, the edge, target-to-base path."""
     index = {g: i + 1 for i, g in enumerate(graph.ambient)}
@@ -175,7 +170,7 @@ def free_basis(graph: SubgroupGraph) -> FreeBasis:
         w = reduce_ints(paths[u] + (index[g],) + invert_ints(paths[v]))
         if w:
             words.append(ints_to_word(w, graph.ambient))
-    return FreeBasis(tuple(words))
+    return tuple(words)
 
 
 def membership(graph: SubgroupGraph, w: Word) -> bool:
@@ -212,7 +207,7 @@ def membership(graph: SubgroupGraph, w: Word) -> bool:
 def graph_report(graph: SubgroupGraph) -> dict:
     return {
         "rank": graph.rank(),
-        "basis": [w.to_text() for w in free_basis(graph).words],
+        "basis": [w.to_text() for w in free_basis(graph)],
         "vertices": graph.n_vertices,
         "edges": len(graph.edges),
     }

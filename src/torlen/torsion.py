@@ -357,8 +357,7 @@ def torsion_certificate_search(
         for power in sorted(ball.parents, key=len):
             head, core, tail = cyclic_split_ints(power)
             for n in range(1, min(exponent_bound, len(core)) + 1):
-                root = core[: len(core) // n]
-                if root * n == core:
+                if not len(core) % n and (root := core[: len(core) // n]) * n == core:
                     least.setdefault(head + root + tail, (n, power))
         # Each member's factors are spelled once, in the ball's order, so
         # a parent is spelled before its children: an insertion puts one

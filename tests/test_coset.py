@@ -482,9 +482,9 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
     """A frozen copy of the enumerator as it stood over
     ``reference_prepare_relators``: an ``_Enumerator`` class with
     ``define``, ``coincidence`` and ``scan_and_fill`` methods, subgroup
-    words scanned at coset 0 before the HLT loop starts.  Returns (status,
-    index, limit, rows) with rows standardized as ``todd_coxeter`` returns
-    them."""
+    words freely reduced over the columns and scanned at coset 0 before
+    the HLT loop starts.  Returns (status, index, limit, rows) with rows
+    standardized as ``todd_coxeter`` returns them."""
     index = {g: i for i, g in enumerate(p.generators)}
     subgroup = [free_reduce(w) for w in subgroup_generators]
     if not p.generators:
@@ -570,10 +570,21 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
     def with_back(word):
         return word, tuple(inv[c] for c in word)
 
+    def over_columns(w):
+        # freely reduced over the columns, killed-loop columns skipped
+        stack = []
+        for g, s in w.letters:
+            c = col[2 * index[g] + (s < 0)]
+            if c in loops:
+                continue
+            if stack and stack[-1] == inv[c]:
+                stack.pop()
+            else:
+                stack.append(c)
+        return tuple(stack)
+
     relators = [with_back(w) for w in words]
-    subgroup_words = [
-        with_back(tuple(col[2 * index[g] + (s < 0)] for g, s in w.letters)) for w in subgroup if w
-    ]
+    subgroup_words = [with_back(w) for w in map(over_columns, subgroup) if w]
     enum = Enumerator()
     table, parent = enum.table, enum.parent
     try:
@@ -621,8 +632,8 @@ def reference_prepared_todd_coxeter(p, subgroup_generators=(), max_cosets=10_000
 # a = 1 and b is in no loop: defining b's entries at coset 0 before its
 # relator scans runs out of budget
 @example((P("a b", "a a a a", "a a a"), [Word.from_text("a^-1 b a")]), True, 4)
-# a is killed, and the subgroup words pass through it; a c a c^-1 is
-# scanned as c c^-1, which defines a coset, and so runs out of budget
+# a is killed, and the subgroup words pass through it; a c a c^-1 reduces
+# to the empty word once a is deleted, so it now completes at budget 4
 @example((P("a b", "a", "b b b"), [Word.from_text("a b a^-1")]), True, 4)
 @example(
     (P("a b c", "a", "a b^-1 c a^-1 a^-1", "b c a^-1 c c"), [Word.from_text("a c a c^-1")]),

@@ -142,7 +142,7 @@ def fold_digest() -> str:
     folds = []
     for gens in criterion_8_cases():
         graph = build_subgroup_graph(("a", "b"), gens)
-        basis = tuple(w.letters for w in free_basis(graph).words)
+        basis = tuple(w.letters for w in free_basis(graph))
         folds.append((graph.n_vertices, graph.edges, basis))
     lifts = [serialize_presentation(build_ln(build_pn(n)).presentation) for n in range(1, 8)]
     return hashlib.sha256(repr((folds, lifts)).encode()).hexdigest()

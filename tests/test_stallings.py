@@ -54,7 +54,7 @@ def test_wedge_rank_and_basis():
     gens = [Word.from_text(t) for t in ("a a", "b b", "a b c^-1 c^-1")]
     graph = build_subgroup_graph(("a", "b", "c"), gens)
     assert graph.rank() == 3
-    basis = free_basis(graph).words
+    basis = free_basis(graph)
     assert len(basis) == 3
     for w in basis:
         assert membership(graph, w)
@@ -106,7 +106,7 @@ def test_basis_generates_same_graph():
     for _ in range(25):
         gens = [random_reduced_word(rng, F2, 4) for _ in range(rng.randint(1, 3))]
         graph = build_subgroup_graph(F2, gens)
-        rebuilt = build_subgroup_graph(F2, free_basis(graph).words)
+        rebuilt = build_subgroup_graph(F2, free_basis(graph))
         assert rebuilt == graph
 
 
