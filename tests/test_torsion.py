@@ -998,6 +998,42 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     assert check_certificates(p, [z, replace(z, level=3)]) == [True, False]
 
 
+def test_checker_judges_shared_factor_chains_per_certificate():
+    # the search's certificates share their factor triples, by identity,
+    # along the paths of one ball; tampered copies keep the triples around
+    # the tampered one, so a checker that remembers products of shared
+    # triples must still judge each copy on its own
+    p = build_pjkl(2, 2, 2)
+    certs = list(torsion_certificate_search(p, level=2, word_bound=4).certificates)
+    base = {free_reduce(r).letters for r in p.relators}
+    # the middle triple shared by the most certificates, with its sign
+    # flipped in one forged triple that every copy shares
+    uses = {}
+    for cert in certs:
+        for triple in cert.factors[1:]:
+            uses.setdefault(id(triple), (triple, []))[1].append(cert)
+    middle, holders = max(uses.values(), key=lambda u: len(u[1]))
+    assert 2 <= len(holders) < len(certs)
+    conj, rel, sign = middle
+    forged = (conj, rel, -sign)
+    moved = [
+        replace(c, factors=tuple(forged if t is middle else t for t in c.factors))
+        for c in {id(c): c for c in holders}.values()
+    ]
+    # valid tail triples with an adjoined relator, under level 1's allowed set
+    demoted = [
+        replace(c, level=1, adjoined=(), supporting=())
+        for c in certs
+        if c.factors[0][1] not in c.adjoined and any(r in c.adjoined for _, r, _ in c.factors[1:])
+    ]
+    assert demoted
+    copies = moved + demoted
+    assert all(reference_certificate_error(c, base, {}) is not None for c in copies)
+    expected = [True] * len(certs) + [False] * len(copies)
+    assert check_certificates(p, certs + copies) == expected
+    assert check_certificates(p, (certs + copies)[::-1]) == expected[::-1]
+
+
 def test_checker_judges_shared_words_per_certificate():
     # certificates that share Word objects, so a checker that remembers
     # anything by identity must still apply every rule to each one
