@@ -33,7 +33,12 @@ from .words import IntWord, invert_ints, multiply_ints, packed_digits, reduce_in
 #       room = max_len - len(word) it fits iff c >= need =
 #       ceil((m - room) / 2).  It is built only when the `need` letters
 #       after the position are the inverses of the rotation's last `need`
-#       letters, and skipped when fewer than `need` letters follow.
+#       letters, and skipped when fewer than `need` letters follow.  Nor
+#       is a rotation s x of a cyclically reduced relator inserted after a
+#       letter x: the rotation x s one position earlier turns u x v into
+#       the same u x s x v, and is tried first (shift again if it ends with
+#       the letter before it too).  Neither cancels: u x v and x s x are
+#       reduced.
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
 #       ends, and only if the word starts with -letter or ends with
@@ -76,21 +81,22 @@ class ClosureBall:
             cur = parent
         factors = memo[cur]
         for state, move in reversed(path):
-            if move[0] == "ins":
-                _, pos, ridx, sign, rot = move
-                rel = self.relators[ridx] if sign == 1 else invert_ints(self.relators[ridx])
-                # with pre = rel[:rot], inserting at pos turns cur = a b into
-                # a (pre^-1 rel pre) b = (a pre^-1) rel (a pre^-1)^-1 * cur: prepend
-                conj = multiply_ints(cur[:pos], invert_ints(rel[:rot]))
-                factors = ((conj, ridx, sign),) + factors
-            else:
-                letter = move[1]
-                factors = tuple(
-                    (multiply_ints((letter,), c), ridx, sign) for c, ridx, sign in factors
-                )
-            memo[state] = factors
+            factors = memo[state] = self.child_factors(cur, move, factors)
             cur = state
         return list(factors)
+
+    def child_factors(self, parent: IntWord, move: tuple, factors: tuple) -> tuple:
+        """The factors of the child that ``move`` makes from ``parent``,
+        whose factors are ``factors``: an insertion puts one factor in
+        front of them, a conjugation changes every conjugator."""
+        if move[0] == "ins":
+            _, pos, ridx, sign, rot = move
+            rel = self.relators[ridx] if sign == 1 else invert_ints(self.relators[ridx])
+            # with pre = rel[:rot], inserting at pos turns parent = a b into
+            # a (pre^-1 rel pre) b = (a pre^-1) rel (a pre^-1)^-1 * parent: prepend
+            return ((multiply_ints(parent[:pos], invert_ints(rel[:rot])), ridx, sign),) + factors
+        letter = move[1]
+        return tuple((multiply_ints((letter,), c), ridx, sign) for c, ridx, sign in factors)
 
 
 def closure_ball(
@@ -105,7 +111,8 @@ def closure_ball(
     and max_states distinct states.
 
     A child is built only if it can be new and fit.  An insertion that
-    cancels at its left seam never is (see the move comment above).  A
+    cancels at its left seam never is, nor one of a cyclically reduced
+    relator that ends with the letter before it (see the move comment).  A
     move that cancels at no seam (or end) lengthens the word by exactly
     the inserted length, so it is skipped when that overshoots max_len;
     an insertion that cancels is built only when enough letters cancel
@@ -138,8 +145,10 @@ def closure_ball(
                 offsets.setdefault(oriented[i:] + oriented[:i], i)
             for rotated, rot in offsets.items():
                 # a rotation of a relator that is not cyclically reduced
-                # is not reduced itself
-                if oriented[0] == -oriented[-1]:
+                # is not reduced itself; the shift rule (see the move
+                # comment) is proved only for the relators that are
+                cyclic = oriented[0] != -oriented[-1]
+                if not cyclic:
                     rotated = reduce_ints(rotated)
                 code = icode = 0  # the rotation and its inverse, packed
                 for x in rotated:
@@ -148,13 +157,15 @@ def closure_ball(
                     icode = icode * base + digit[-x]
                 m = len(rotated)
                 plain = (0, m, code, 0, rotated, (ridx, sign, rot))
-                ins_moves.append((code // pw[m - 1], code % base, icode, plain))
+                shift = code % base if cyclic else None
+                ins_moves.append((code // pw[m - 1], code % base, shift, icode, plain))
     # fits[(room, before, after)]: the insertion moves, in ins_moves
     # order, whose child can fit when room = max_len - len(word) and the
     # word reads the digits `before` and `after` on either side of the
     # insertion point (0 at an end of the word): those that do not cancel
-    # at the left seam and are no longer than room or cancel at the right
-    # seam.  Each carries `need`, the letters that must cancel at the
+    # at the left seam, do not end with `before` when a shift replaces
+    # them, and are no longer than room or cancel at the right seam.
+    # Each carries `need`, the letters that must cancel at the
     # right seam: 0 for a plain concatenation, else at least 1 and enough
     # that the child fits, with `target`, the packed inverse of the
     # rotation's last `need` letters.  There are at most
@@ -179,8 +190,8 @@ def closure_ball(
             if moves is None:
                 moves = fits[room, before, after] = []
                 left, right = inverse[before], inverse[after]
-                for first, last, icode, plain in ins_moves:
-                    if first == left:
+                for first, last, shift, icode, plain in ins_moves:
+                    if first == left or shift == before:
                         continue
                     _, m, code, _, rotated, info = plain
                     if last != right:

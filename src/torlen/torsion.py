@@ -32,10 +32,10 @@ from .presentation import Presentation, kill_generators
 from .words import (
     IntWord,
     Word,
+    _word,
     cyclic_key,
     cyclic_reduce,
     cyclic_split_ints,
-    ints_to_word,
     multiply_ints,
     reduce_ints,
     word_to_ints,
@@ -242,6 +242,7 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     held: dict[int, bool] = {}
     pairs: dict[tuple[int, int, int], frozenset[IntWord] | None] = {}
     conjugates: dict[tuple[int, int, int], tuple[IntWord | None, IntWord | None]] = {}
+    suffixes: dict[tuple[int, int, int], tuple[int, IntWord | None]] = {}
 
     def ints(w: Word) -> IntWord | None:
         if id(w) not in spelled:
@@ -263,19 +264,27 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
                 pairs[key] = frozenset(cores).union(base) if ok else None
             allowed, word = pairs[key], ints(cert.word)
             ok = allowed is not None and cert.exponent >= 1 and word is not None
-            product: IntWord = ()
-            for c, r, sign in cert.factors if ok else ():
-                triple = (id(c), id(r), sign)
-                if triple not in conjugates:
-                    conj, rel = ints(c), ints(r)
-                    known = conj is not None and rel is not None
-                    conjugates[triple] = rel, conjugate_ints(conj, rel, sign) if known else None
-                relator, conjugate = conjugates[triple]
-                # membership is per certificate: it depends on the adjoined cores
-                if conjugate is None or relator not in allowed:
+            # the factors from the last: each suffix's product is its
+            # first conjugate times the product of the suffix after it
+            link, product = 0, ()
+            for triple in reversed(cert.factors) if ok else ():
+                suffix = (id(triple), link, id(allowed))
+                if suffix not in suffixes:
+                    c, r, sign = triple
+                    if (id(c), id(r), sign) not in conjugates:
+                        conj, rel = ints(c), ints(r)
+                        known = conj is not None and rel is not None
+                        conjugate = conjugate_ints(conj, rel, sign) if known else None
+                        conjugates[id(c), id(r), sign] = rel, conjugate
+                    relator, conjugate = conjugates[id(c), id(r), sign]
+                    # membership depends on the adjoined cores, so on ``allowed``
+                    good = conjugate is not None and relator in allowed
+                    product = multiply_ints(conjugate, product) if good else None
+                    suffixes[suffix] = len(suffixes) + 1, product
+                link, product = suffixes[suffix]
+                if product is None:
                     ok = False
                     break
-                product = multiply_ints(product, conjugate)
             held[id(cert)] = ok and product == _reduced_power(word, cert.exponent, len(product))
         return held[id(cert)]
 
@@ -323,6 +332,12 @@ def torsion_certificate_search(
     index = {g: i for i, g in enumerate(p.generators)}
     names = list(p.generators)
     relators = [word_to_ints(r, index) for r in p.relators]
+    # one letter table spells every int word: letter x at table[x]
+    table = [None] + [(g, 1) for g in names] + [(g, -1) for g in reversed(names)]
+
+    def spell(iw: IntWord) -> Word:
+        return _word(tuple(map(table.__getitem__, iw)))
+
     adjoin_length_bound = max(1, word_bound // 2)
 
     by_core: dict[IntWord, TorsionCertificate] = {}
@@ -336,7 +351,7 @@ def torsion_certificate_search(
                 existing.add(core)
                 adjoined.append((core, cert))
         relators = relators + [core for core, _ in adjoined]
-        adjoined_words = tuple(ints_to_word(core, names) for core, _ in adjoined)
+        adjoined_words = tuple(spell(core) for core, _ in adjoined)
         supporting = tuple(cert for _, cert in adjoined)
 
         ball = closure_ball(
@@ -347,7 +362,7 @@ def torsion_certificate_search(
             max_states=max_states,
         )
         exhaustive = exhaustive and ball.exhausted
-        rel_words = [ints_to_word(r, names) for r in ball.relators]
+        rel_words = [spell(r) for r in ball.relators]
         # A member head core tail with core = root^n is w^n for the
         # reduced word w = head root tail.  Shorter members come first,
         # so each w keeps its least n; with n = 1 every nonempty member
@@ -359,37 +374,31 @@ def torsion_certificate_search(
             for n in range(1, min(exponent_bound, len(core)) + 1):
                 if not len(core) % n and (root := core[: len(core) // n]) * n == core:
                     least.setdefault(head + root + tail, (n, power))
-        # Each member's factors are spelled once, in the ball's order, so
-        # a parent is spelled before its children: an insertion puts one
-        # factor in front of its parent's, a conjugation changes every
-        # conjugator.  Conjugators are spelled once per level.
+        # Each member's factors are derived once, in the ball's order, from
+        # its parent's, so a parent comes before its children: an
+        # insertion spells one factor and puts it in front of its parent's
+        # triples, a conjugation spells every conjugator.  Conjugators are
+        # spelled once per level.
         conjugators: dict[IntWord, Word] = {}
+        raw: dict[IntWord, tuple] = {(): ()}
         spelled: dict[IntWord, tuple] = {(): ()}
         for state, (parent, move) in ball.parents.items():
-            if move[0] == "ins":
-                raw_factors = ball.factors(state)[:1]
-            elif move[0] == "conj":
-                raw_factors = ball.factors(state)
-            else:
+            if move[0] == "root":
                 continue
-            for c, _, _ in raw_factors:
+            factors = raw[state] = ball.child_factors(parent, move, raw[parent])
+            new = factors[:1] if move[0] == "ins" else factors
+            for c, _, _ in new:
                 if c not in conjugators:
-                    conjugators[c] = ints_to_word(c, names)
-            factors = tuple((conjugators[c], rel_words[ridx], sign) for c, ridx, sign in raw_factors)
-            spelled[state] = factors + spelled[parent] if move[0] == "ins" else factors
+                    conjugators[c] = spell(c)
+            triples = tuple((conjugators[c], rel_words[ridx], sign) for c, ridx, sign in new)
+            spelled[state] = triples + spelled[parent] if move[0] == "ins" else triples
         found: list[TorsionCertificate] = []
         new_by_core: dict[IntWord, TorsionCertificate] = {}
         rank = {x: 2 * abs(x) - (x > 0) for x in range(-len(names), len(names) + 1)}
         for w in sorted(least, key=lambda w: (len(w), *map(rank.__getitem__, w))):
             n, power = least[w]
-            factors = spelled[power]
             cert = TorsionCertificate(
-                ints_to_word(w, names),
-                n,
-                current_level,
-                factors,
-                adjoined_words,
-                supporting,
+                spell(w), n, current_level, spelled[power], adjoined_words, supporting
             )
             found.append(cert)
             if current_level < level and len(cyclic_split_ints(w)[1]) <= adjoin_length_bound:

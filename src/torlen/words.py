@@ -115,7 +115,7 @@ class Word:
         return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def to_text(self) -> str:
-        return " ".join(g if s == 1 else g + INVERSE_MARKER for g, s in self.letters)
+        return " ".join([g if s == 1 else g + INVERSE_MARKER for g, s in self.letters])
 
     def __str__(self) -> str:
         return self.to_text() if self.letters else "(empty)"

@@ -104,3 +104,22 @@ def test_main_prints_a_gain_verdict_after_each_median_line(tmp_path, monkeypatch
         head = f"invariants {metric}: "
         median = next(i for i, line in enumerate(lines) if line.startswith(head + "median"))
         assert lines[median + 1] == head + expected
+
+
+def test_a_run_reporting_wrong_results_stops_the_tool(tmp_path, monkeypatch):
+    # the change's run at the second seed reports "correct": false
+    def fake_run(side, checkout, workload, seed, seconds):
+        correct = not (side == "change" and seed == 2)
+        return {"correct": correct, "failed": 0 if correct else 3, "passes": 10,
+                "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload",
+                          "cert_search", "--seeds", "1-3", "--out", str(out)])
+    assert str(exc.value) == (
+        'change run of cert_search at seed 2 reported "correct": false with 3 wrong jobs'
+    )
+    # the pair before it is kept
+    assert [p["seed"] for p in json.loads(out.read_text())["pairs"]] == [1]

@@ -970,13 +970,17 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     p = build_pjkl(2, 2, 2)
     report = torsion_certificate_search(p, level=2, word_bound=4)
     supporting = {id(s): s for c in report.certificates for s in c.supporting}
-    checks, reduced = [], []
+    checks, reduced, multiplied = [], [], []
     real_check, real_reduce = torsion._reduced_power, torsion.conjugate_ints
+    real_multiply = torsion.multiply_ints
     monkeypatch.setattr(
         torsion, "_reduced_power", lambda *args: checks.append(1) or real_check(*args)
     )
     monkeypatch.setattr(
         torsion, "conjugate_ints", lambda *args: reduced.append(args) or real_reduce(*args)
+    )
+    monkeypatch.setattr(
+        torsion, "multiply_ints", lambda *args: multiplied.append(1) or real_multiply(*args)
     )
     assert all(check_certificates(p, report.certificates))
     # one product check per certificate, and one per supporting certificate
@@ -985,6 +989,15 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     reached = list(report.certificates) + list(supporting.values())
     triples = {(id(c), id(r), s) for cert in reached for c, r, s in cert.factors}
     assert len(reduced) == len(triples) < sum(len(cert.factors) for cert in reached)
+    # each distinct suffix of a factor list, a triple in front of the
+    # suffix after it, is multiplied once per allowed set, which is one
+    # per level here
+    links = {
+        (cert.level, tuple(map(id, cert.factors[i:])))
+        for cert in reached
+        for i in range(len(cert.factors))
+    }
+    assert len(multiplied) == len(links) < sum(len(cert.factors) for cert in reached)
     # a supporting certificate one level off fails every certificate it backs
     victim = report.certificates[0].supporting[0]
     moved = replace(victim, level=2)

@@ -11,7 +11,8 @@ run timed (from the report on its first line) added as ``passes``, plus
 the Python version and CPU count of the machine.  An existing file is
 extended, so the workloads can be run one at a time.  When a run exits
 non-zero, the tool stops with that run's side, seed and the end of its
-stderr; the pairs before it are kept.
+stderr; when a run reports ``"correct": false``, it stops with that
+run's side, seed and count of wrong jobs.  The pairs before it are kept.
 
 After each metric's medians comes a gain verdict: "gain" when the change
 is better in at least nine tenths of the pairs (ties count for neither)
@@ -114,8 +115,11 @@ def main(argv: list[str] | None = None) -> int:
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"workload": args.workload, "seed": seed, "first": sides[0]}
         for side in sides:
-            pair[side] = run_once(side, getattr(args, side).resolve(), args.workload, seed,
-                                  args.seconds)
+            run = run_once(side, getattr(args, side).resolve(), args.workload, seed, args.seconds)
+            if not run.get("correct", True):
+                raise SystemExit(f"{side} run of {args.workload} at seed {seed} reported "
+                                 f"\"correct\": false with {run.get('failed')} wrong jobs")
+            pair[side] = run
         pairs.append(pair)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(seed, *(f"{m} {value(pair['parent'], m):.4g} -> {value(pair['change'], m):.4g}"
