@@ -165,8 +165,8 @@ def closure_ball(
     # insertion point (0 at an end of the word): those that do not cancel
     # at the left seam, do not end with `before` when a shift replaces
     # them, and are no longer than room or cancel at the right seam.
-    # Each carries `need`, the letters that must cancel at the
-    # right seam: 0 for a plain concatenation, else at least 1 and enough
+    # Each carries `need`, the letters that must cancel at the right
+    # seam: 0 for a plain concatenation, else at least 1 and enough
     # that the child fits, with `target`, the packed inverse of the
     # rotation's last `need` letters.  There are at most
     # (max_len+1)(2g+1)^2 keys.

@@ -231,9 +231,9 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     relator of ``p`` or an adjoined core, the product reduces to
     word^exponent, and each adjoined core is the ``cyclic_key`` of its
     supporting certificate's word, one level down and holding too.  A
-    letter outside ``p`` fails.  Words, conjugates, certificates and a
-    level's shared (adjoined, supporting) pair are handled once per call,
-    by identity; nothing outlives the call."""
+    letter outside ``p`` fails.  Words, conjugates, factor suffixes,
+    certificates and a level's shared (adjoined, supporting) pair are
+    handled once per call, by identity; nothing outlives the call."""
     certificates = list(certificates)  # keeps every keyed object alive
     index = {g: i for i, g in enumerate(p.generators)}
     base = {reduce_ints(word_to_ints(r, index)) for r in p.relators}
