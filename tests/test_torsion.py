@@ -167,6 +167,10 @@ small_relators = st.lists(
 @example([(1, 1, 2)], 2, 4, 3, 2000)
 # a^-3 after the b of b a a a b^-1 cancels all 3 letters, then b b^-1
 @example([(1, 1, 1)], 2, 5, 3, 2000)
+# relators that are not cyclically reduced, with reduced rotations of
+# their cores (b c and c b; b b) that end with the letter before them
+@example([(1, 2, 3, -1)], 3, 4, 3, 2000)
+@example([(1, 2, 2, -1)], 2, 5, 3, 2000)
 def test_closure_ball_matches_whole_word_reduction(
     relators, n_generators, max_len, max_depth, max_states
 ):
