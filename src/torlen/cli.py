@@ -173,7 +173,10 @@ def cmd_nf(args) -> int:
 
 def cmd_conjsep(args) -> int:
     spec = CyclicFactorSpec.from_text(args.spec)
-    syllables, exponent = (int(tok) for tok in args.bounds.split())
+    try:
+        syllables, exponent = map(int, args.bounds.split())
+    except ValueError:
+        raise ValueError(f"--bounds takes two integers, not {args.bounds!r}") from None
     result = conjugate_separation_search(
         spec, Word.from_text(args.a), Word.from_text(args.b), syllables, exponent
     )

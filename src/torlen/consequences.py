@@ -34,11 +34,14 @@ from .words import IntWord, invert_ints, multiply_ints, packed_digits, reduce_in
 #       ceil((m - room) / 2).  It is built only when the `need` letters
 #       after the position are the inverses of the rotation's last `need`
 #       letters, and skipped when fewer than `need` letters follow.  Nor
-#       is a rotation s x of a cyclically reduced relator inserted after a
-#       letter x: the rotation x s one position earlier turns u x v into
-#       the same u x s x v, and is tried first (shift again if it ends with
-#       the letter before it too).  Neither cancels: u x v and x s x are
-#       reduced.
+#       is a rotation s x inserted after a letter x.  A relator is
+#       h c h^-1 with c cyclically reduced, so a reduced rotation is
+#       k c k^-1 for a nonempty suffix k of h (ending with x, it begins
+#       with x^-1, and the left seam rule skips it) or a rotation of c.
+#       Then x s is a rotation of c too: one position earlier it turns
+#       u x v into the same u x s x v, and is tried first (shift again if
+#       it ends with the letter before it too).  Neither cancels: u x v
+#       and x s x are reduced.
 #   ("conj", letter) -- conjugate the whole word by a single generator
 #       letter (positive or negative int); letters cancel only at the two
 #       ends, and only if the word starts with -letter or ends with
@@ -56,33 +59,21 @@ class ClosureBall:
     def __contains__(self, iw: IntWord) -> bool:
         return iw in self.parents
 
-    # Each state's factors as a tuple, derived once from its parent's.  A
-    # class attribute, not a field, so ``==`` and ``repr`` ignore it.
-    _factors = None
-
     def factors(self, iw: IntWord) -> list[tuple[IntWord, int, int]]:
         """Express ``iw`` as an ordered product of conjugates.
 
         Returns [(conjugator, relator_index, sign), ...] with
         iw = prod_i  c_i * relators[r_i]^{s_i} * c_i^{-1}  after free
-        reduction, as a fresh list.  The factors of every state on the
-        path from the root are kept, so each is derived once from its
-        parent's; this holds for a ball that is not mutated after
-        ``closure_ball`` builds it.
+        reduction, as a fresh list: ``child_factors`` replayed along the
+        path from the root.
         """
-        if self._factors is None:
-            self._factors = {(): ()}
-        memo = self._factors
         path = []
-        cur = iw
-        while cur not in memo:
-            parent, move = self.parents[cur]
-            path.append((cur, move))
-            cur = parent
-        factors = memo[cur]
-        for state, move in reversed(path):
-            factors = memo[state] = self.child_factors(cur, move, factors)
-            cur = state
+        while iw:
+            path.append(self.parents[iw])
+            iw = path[-1][0]
+        factors = ()
+        for parent, move in reversed(path):
+            factors = self.child_factors(parent, move, factors)
         return list(factors)
 
     def child_factors(self, parent: IntWord, move: tuple, factors: tuple) -> tuple:
@@ -111,14 +102,13 @@ def closure_ball(
     and max_states distinct states.
 
     A child is built only if it can be new and fit.  An insertion that
-    cancels at its left seam never is, nor one of a cyclically reduced
-    relator that ends with the letter before it (see the move comment).  A
-    move that cancels at no seam (or end) lengthens the word by exactly
-    the inserted length, so it is skipped when that overshoots max_len;
-    an insertion that cancels is built only when enough letters cancel
-    for it to fit.  States are found in the same order, and the state
-    budget fires at the same child, as if every child were built and
-    the long ones dropped.
+    cancels at its left seam never is, nor one that ends with the letter
+    before it (see the move comment).  A move that cancels at no seam
+    (or end) lengthens the word by exactly the inserted length, so it is
+    skipped when that overshoots max_len; an insertion that cancels is
+    built only when enough letters cancel for it to fit.  States are
+    found in the same order, and the state budget fires at the same
+    child, as if every child were built and the long ones dropped.
 
     ``exhausted`` is False when the state budget was hit, i.e. absence
     from the ball is then evidence only at the explored budget.
@@ -139,17 +129,11 @@ def closure_ball(
     ins_moves = []
     for ridx, rel in enumerate(rels):
         for sign, oriented in ((1, rel), (-1, invert_ints(rel))):
-            # each distinct rotation once, at its first offset
+            # each distinct reduced rotation once, at its first offset
             offsets: dict[IntWord, int] = {}
             for i in range(len(oriented)):
-                offsets.setdefault(oriented[i:] + oriented[:i], i)
+                offsets.setdefault(reduce_ints(oriented[i:] + oriented[:i]), i)
             for rotated, rot in offsets.items():
-                # a rotation of a relator that is not cyclically reduced
-                # is not reduced itself; the shift rule (see the move
-                # comment) is proved only for the relators that are
-                cyclic = oriented[0] != -oriented[-1]
-                if not cyclic:
-                    rotated = reduce_ints(rotated)
                 code = icode = 0  # the rotation and its inverse, packed
                 for x in rotated:
                     code = code * base + digit[x]
@@ -157,19 +141,17 @@ def closure_ball(
                     icode = icode * base + digit[-x]
                 m = len(rotated)
                 plain = (0, m, code, 0, rotated, (ridx, sign, rot))
-                shift = code % base if cyclic else None
-                ins_moves.append((code // pw[m - 1], code % base, shift, icode, plain))
+                ins_moves.append((code // pw[m - 1], code % base, icode, plain))
     # fits[(room, before, after)]: the insertion moves, in ins_moves
     # order, whose child can fit when room = max_len - len(word) and the
     # word reads the digits `before` and `after` on either side of the
     # insertion point (0 at an end of the word): those that do not cancel
-    # at the left seam, do not end with `before` when a shift replaces
-    # them, and are no longer than room or cancel at the right seam.
-    # Each carries `need`, the letters that must cancel at the right
-    # seam: 0 for a plain concatenation, else at least 1 and enough
-    # that the child fits, with `target`, the packed inverse of the
-    # rotation's last `need` letters.  There are at most
-    # (max_len+1)(2g+1)^2 keys.
+    # at the left seam, do not end with `before`, and are no longer than
+    # room or cancel at the right seam.  Each carries `need`, the letters
+    # that must cancel at the right seam: 0 for a plain concatenation,
+    # else at least 1 and enough that the child fits, with `target`, the
+    # packed inverse of the rotation's last `need` letters.  There are at
+    # most (max_len+1)(2g+1)^2 keys.
     fits: dict[tuple[int, int, int], list[tuple]] = {}
     parents = ball.parents
     parents[()] = ((), ("root",))
@@ -190,8 +172,8 @@ def closure_ball(
             if moves is None:
                 moves = fits[room, before, after] = []
                 left, right = inverse[before], inverse[after]
-                for first, last, shift, icode, plain in ins_moves:
-                    if first == left or shift == before:
+                for first, last, icode, plain in ins_moves:
+                    if first == left or last == before:
                         continue
                     _, m, code, _, rotated, info = plain
                     if last != right:

@@ -231,9 +231,9 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     relator of ``p`` or an adjoined core, the product reduces to
     word^exponent, and each adjoined core is the ``cyclic_key`` of its
     supporting certificate's word, one level down and holding too.  A
-    letter outside ``p`` fails.  Words, conjugates, factor suffixes,
-    certificates and a level's shared (adjoined, supporting) pair are
-    handled once per call, by identity; nothing outlives the call."""
+    letter outside ``p`` fails.  Words, conjugates, certificates and a
+    level's shared (adjoined, supporting) pair are handled once per
+    call, by identity; nothing outlives the call."""
     certificates = list(certificates)  # keeps every keyed object alive
     index = {g: i for i, g in enumerate(p.generators)}
     base = {reduce_ints(word_to_ints(r, index)) for r in p.relators}
@@ -242,7 +242,6 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
     held: dict[int, bool] = {}
     pairs: dict[tuple[int, int, int], frozenset[IntWord] | None] = {}
     conjugates: dict[tuple[int, int, int], tuple[IntWord | None, IntWord | None]] = {}
-    suffixes: dict[tuple[int, int, int], tuple[int, IntWord | None]] = {}
 
     def ints(w: Word) -> IntWord | None:
         if id(w) not in spelled:
@@ -264,27 +263,19 @@ def check_certificates(p: Presentation, certificates: Iterable[TorsionCertificat
                 pairs[key] = frozenset(cores).union(base) if ok else None
             allowed, word = pairs[key], ints(cert.word)
             ok = allowed is not None and cert.exponent >= 1 and word is not None
-            # the factors from the last: each suffix's product is its
-            # first conjugate times the product of the suffix after it
-            link, product = 0, ()
-            for triple in reversed(cert.factors) if ok else ():
-                suffix = (id(triple), link, id(allowed))
-                if suffix not in suffixes:
-                    c, r, sign = triple
-                    if (id(c), id(r), sign) not in conjugates:
-                        conj, rel = ints(c), ints(r)
-                        known = conj is not None and rel is not None
-                        conjugate = conjugate_ints(conj, rel, sign) if known else None
-                        conjugates[id(c), id(r), sign] = rel, conjugate
-                    relator, conjugate = conjugates[id(c), id(r), sign]
-                    # membership depends on the adjoined cores, so on ``allowed``
-                    good = conjugate is not None and relator in allowed
-                    product = multiply_ints(conjugate, product) if good else None
-                    suffixes[suffix] = len(suffixes) + 1, product
-                link, product = suffixes[suffix]
-                if product is None:
+            product: IntWord = ()
+            for c, r, sign in reversed(cert.factors) if ok else ():
+                triple = (id(c), id(r), sign)
+                if triple not in conjugates:
+                    conj, rel = ints(c), ints(r)
+                    known = conj is not None and rel is not None
+                    conjugates[triple] = rel, conjugate_ints(conj, rel, sign) if known else None
+                relator, conjugate = conjugates[triple]
+                # membership is per certificate: it depends on the adjoined cores
+                if conjugate is None or relator not in allowed:
                     ok = False
                     break
+                product = multiply_ints(conjugate, product)
             held[id(cert)] = ok and product == _reduced_power(word, cert.exponent, len(product))
         return held[id(cert)]
 

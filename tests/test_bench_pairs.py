@@ -123,3 +123,27 @@ def test_a_run_reporting_wrong_results_stops_the_tool(tmp_path, monkeypatch):
     )
     # the pair before it is kept
     assert [p["seed"] for p in json.loads(out.read_text())["pairs"]] == [1]
+
+
+def test_main_records_each_checkouts_source_line_total(tmp_path, monkeypatch, capsys):
+    # two checkouts whose src/torlen/*.py hold 3 + 2 and 4 lines; other
+    # files do not count
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout, files in ((parent, {"a.py": "x\ny\nz\n", "b.py": "x\ny\n", "c.txt": "x\n"}),
+                            (change, {"a.py": "w\nx\ny\nz\n"})):
+        (checkout / "src" / "torlen").mkdir(parents=True)
+        for name, text in files.items():
+            (checkout / "src" / "torlen" / name).write_text(text)
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run(side, checkout, workload, seed, seconds):
+        return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "passes": 10}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "oracles",
+            "--seeds", "1-2", "--out", str(out)]
+    bench_pairs.main(argv)
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 5, "change": 4}
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "lines" in line] == ["src/torlen/*.py lines: 5 -> 4"]

