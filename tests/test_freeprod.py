@@ -382,7 +382,40 @@ def random_spec(rng):
     return CyclicFactorSpec(tuple(zip("xyz", orders)))
 
 
+# (spec, a, b, bounds, the witness's x or None): involutions that are
+# powers, witnesses outside factor 0, zero bounds and no-witness inputs
+SEPARATION_CASES = [
+    ("x:4 y:2", "x x", "y", (1, 1), "x x"),  # an involution that is a power
+    ("y:2 x:2", "x", "y", (6, 4), "y"),  # the lower-numbered factor's
+    ("t:inf x:2 y:2", "x", "y", (2, 2), "x"),  # t^+-1, t^+-2 come first
+    ("x:2 y:2", "x", "y", (0, 4), None),
+    ("x:2 y:2", "x", "y", (6, 0), None),
+    ("x:6 y:4", "x x x", "y y", (6, 4), "x x x"),
+    ("x:4 y:2", "x", "y", (6, 4), None),
+    ("x:2 y:2 z:3", "z", "y", (6, 4), None),
+]
+
+
+def check_witness(spec, a, b, got):
+    """x (ab)^i x^-1 == (ab)^j, and x is no (ab)^m with |m| <= len(x)."""
+    ab = normal_form(spec, a * b)
+    x = normal_form(spec, got.x)
+    lhs = nf_multiply(spec, nf_multiply(spec, x, nf_power(spec, ab, got.i)), nf_invert(spec, x))
+    assert lhs == nf_power(spec, ab, got.j)
+    assert all(x != nf_power(spec, ab, m) for m in range(-len(got.x), len(got.x) + 1))
+
+
 def test_separation_search_matches_frozen_reference():
+    for spec_text, a, b, bounds, x in SEPARATION_CASES:
+        spec = CyclicFactorSpec.from_text(spec_text)
+        a, b = Word.from_text(a), Word.from_text(b)
+        got = conjugate_separation_search(spec, a, b, *bounds)
+        assert got == reference_conjugate_separation_search(spec, a, b, *bounds)
+        if x is None:
+            assert got == NoWitnessUpToBound(*bounds)
+        else:
+            assert got == SeparationWitness(Word.from_text(x), 1, -1)
+            check_witness(spec, a, b, got)
     rng = random.Random(27)
     witnesses = 0
     for _ in range(100):
@@ -396,7 +429,9 @@ def test_separation_search_matches_frozen_reference():
         assert list(_enumerate_normal_forms(spec, *bounds)) == list(
             reference_enumerate_normal_forms(spec, *bounds)
         )
-        witnesses += isinstance(got, SeparationWitness)
+        if isinstance(got, SeparationWitness):
+            check_witness(spec, a, b, got)
+            witnesses += 1
     assert witnesses >= 5
 
 
@@ -407,3 +442,41 @@ def test_is_torsion_matches_frozen_reference():
         letters = [(name, s) for name, _ in spec.factors for s in (1, -1)]
         w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
         assert is_torsion(spec, w) == reference_is_torsion(spec, w)
+
+
+def reference_ping_pong_free_check(spec, u, v, max_length):
+    """A frozen copy of the ping-pong check that keeps each DFS node's
+    whole sequence of abstract letters."""
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
+    nf_u = normal_form(spec, u)
+    nf_v = normal_form(spec, v)
+    if not nf_u or not nf_v:
+        return False
+    basis = {1: nf_u, -1: nf_invert(spec, nf_u), 2: nf_v, -2: nf_invert(spec, nf_v)}
+    stack = [((), NormalForm())]
+    while stack:
+        seq, value = stack.pop()
+        if seq and not value:
+            return False
+        if len(seq) == max_length:
+            continue
+        for letter in (1, -1, 2, -2):
+            if seq and seq[-1] == -letter:
+                continue
+            stack.append((seq + (letter,), nf_multiply(spec, value, basis[letter])))
+    return True
+
+
+def test_ping_pong_matches_frozen_reference():
+    rng = random.Random(30)
+    verdicts = set()
+    for _ in range(300):
+        spec = random_spec(rng)
+        letters = [(name, s) for name, _ in spec.factors for s in (1, -1)]
+        u, v = (Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))) for _ in "uv")
+        length = rng.randint(0, 6)
+        got = ping_pong_free_check(spec, u, v, length)
+        assert got == reference_ping_pong_free_check(spec, u, v, length)
+        verdicts.add(got)
+    assert verdicts == {True, False}

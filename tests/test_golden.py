@@ -67,6 +67,8 @@ COMMANDS = [
     ["nf", "--spec", "factors: x:2 t:inf", "t x x t^-1 x t"],
     ["conjsep", "--spec", "factors: x:2 y:2", "--a", "x", "--b", "y"],
     ["conjsep", "--spec", "factors: x:2 y:3", "--a", "x", "--b", "y", "--bounds", "2 2"],
+    ["conjsep", "--spec", "factors: t:inf y:4 x:2", "--a", "x", "--b", "y y", "--bounds", "1 1"],
+    ["conjsep", "--spec", "factors: x:4 y:2", "--a", "x", "--b", "y"],
     ["pingpong", "--spec", "factors: g:3 x:2", "g x g", "x g x g x"],
     ["pingpong", "--spec", "factors: x:2 y:3", "x y", "y^-1 x"],
     ["ab", "p222.txt"],
