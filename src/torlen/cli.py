@@ -23,7 +23,6 @@ from .freeprod import (
     ping_pong_free_check,
 )
 from .presentation import (
-    PresentationError,
     abelianization,
     canonicalize,
     parse_presentation,
@@ -31,7 +30,7 @@ from .presentation import (
 )
 from .stallings import build_subgroup_graph, graph_report
 from .torsion import check_certificates, torsion_certificate_search, torsion_length
-from .words import Word, WordError
+from .words import Word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
-    except (PresentationError, WordError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

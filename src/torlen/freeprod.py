@@ -2,14 +2,14 @@
 
 Elements are handled through alternating syllable normal forms, which
 solve the word problem outright.  On top of that sit a torsion
-classifier, a bounded conjugate-separation search and a bounded
-ping-pong freeness certificate.
+classifier, a conjugate-separation decision and a bounded ping-pong
+freeness certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .words import Word, _word, check_symbol
 
@@ -50,9 +50,10 @@ class CyclicFactorSpec:
         factors = []
         for tok in body.split():
             name, _, order = tok.partition(":")
-            if not order:
-                raise FactorError(f"bad factor token {tok!r}")
-            factors.append((name, INFINITE if order == "inf" else int(order)))
+            try:  # int() also rejects the empty order of a bare name
+                factors.append((name, INFINITE if order == "inf" else int(order)))
+            except ValueError:
+                raise FactorError(f"bad factor token {tok!r}") from None
         return cls(tuple(factors))
 
     def to_text(self) -> str:
@@ -198,28 +199,6 @@ class NoWitnessUpToBound:
     max_exponent: int
 
 
-def _signed_range(bound: int) -> Iterator[int]:
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
-def _enumerate_normal_forms(spec: CyclicFactorSpec, max_syllables: int, max_exponent: int):
-    """Normal forms in length-lexicographic order (syllable count, then
-    factor index / exponent position), identity first."""
-    syllables = [
-        (i, e)
-        for i, (_, order) in enumerate(spec.factors)
-        for e in (_signed_range(max_exponent) if order is None else range(1, order))
-    ]
-    yield NormalForm()
-    # each length's forms extend the last length's, in order
-    level: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(max_syllables):
-        level = [p + (s,) for p in level for s in syllables if not p or p[-1][0] != s[0]]
-        yield from map(NormalForm, level)
-
-
 def conjugate_separation_search(
     spec: CyclicFactorSpec,
     a: Word,
@@ -227,10 +206,17 @@ def conjugate_separation_search(
     max_syllables: int,
     max_exponent: int,
 ):
-    """Exhaustive search for x (<= max_syllables syllables, x outside
-    <ab>) and nonzero i, j (|i|,|j| <= max_exponent) with
-    x (ab)^i x^-1 = (ab)^j.  Returns the minimal witness in
-    length-lexicographic order, or a bound report."""
+    """The least x (<= max_syllables syllables, x outside <ab>) and
+    nonzero i, j (|i|,|j| <= max_exponent) with x (ab)^i x^-1 = (ab)^j,
+    or a bound report.  No search is needed (Lyndon & Schupp, ch. IV.1):
+    - (ab)^i is cyclically reduced with 2|i| syllables, as ab is.
+    - Conjugate cyclically reduced forms are cyclic permutations: j = +-i.
+    - j = i: x centralizes (ab)^i, so x is in <ab> (ab is no proper power).
+    - j = -i: (b^-1 a^-1)^i reads (ba)^i, so a and b are involutions, and
+      x is in a<ab>, whose only one-syllable elements are a and b.
+    - x runs by syllable count, then factor and exponent, identity first,
+      and i over 1, -1, 2, ...: the least witness is (a or b, whichever
+      lies in the lower factor, 1, -1)."""
     if max_syllables < 0 or max_exponent < 0:
         raise ValueError("max_syllables and max_exponent must be >= 0")
     nf_a = normal_form(spec, a)
@@ -239,23 +225,10 @@ def conjugate_separation_search(
         raise FactorError("a and b must be nontrivial")
     if len(nf_a) != 1 or len(nf_b) != 1 or nf_a.syllables[0][0] == nf_b.syllables[0][0]:
         raise FactorError("a and b must lie in distinct factors")
-    ab = nf_multiply(spec, nf_a, nf_b)
-    # membership in <ab>: compare against (ab)^m, |m| bounded by the
-    # total syllable budget
-    member_bound = max_syllables + 2
-    members = {nf_power(spec, ab, m).syllables for m in range(-member_bound, member_bound + 1)}
-    powers = {k: nf_power(spec, ab, k) for k in _signed_range(max_exponent)}
-    # ab has infinite order (a and b lie in distinct factors), so its
-    # powers are pairwise distinct and at most one j can match
-    exponent_of = {power.syllables: k for k, power in powers.items()}
-    for x in _enumerate_normal_forms(spec, max_syllables, max_exponent):
-        if x.syllables in members:
-            continue
-        x_inv = nf_invert(spec, x)
-        for i in _signed_range(max_exponent):
-            lhs = nf_multiply(spec, nf_multiply(spec, x, powers[i]), x_inv)
-            if j := exponent_of.get(lhs.syllables):
-                return SeparationWitness(x.to_word(spec), i, j)
+    pair = nf_a.syllables + nf_b.syllables
+    if max_syllables and max_exponent and all(2 * e == spec.order_of(i) for i, e in pair):
+        i, e = min(pair)
+        return SeparationWitness(Word.gen(spec.generator(i), e), 1, -1)
     return NoWitnessUpToBound(max_syllables, max_exponent)
 
 
@@ -278,16 +251,16 @@ def ping_pong_free_check(spec: CyclicFactorSpec, u: Word, v: Word, max_length: i
         2: nf_v,
         -2: nf_invert(spec, nf_v),
     }
-    # DFS over freely reduced sequences in the abstract letters 1,2
-    stack: list[tuple[tuple[int, ...], NormalForm]] = [((), NormalForm())]
+    # DFS over freely reduced sequences in the abstract letters 1,2; a
+    # node keeps its last letter (0 at the root) and its length
+    stack: list[tuple[int, int, NormalForm]] = [(0, 0, NormalForm())]
     while stack:
-        seq, value = stack.pop()
-        if seq and not value:
+        last, length, value = stack.pop()
+        if length and not value:
             return False
-        if len(seq) == max_length:
+        if length == max_length:
             continue
         for letter in (1, -1, 2, -2):
-            if seq and seq[-1] == -letter:
-                continue
-            stack.append((seq + (letter,), nf_multiply(spec, value, basis[letter])))
+            if letter != -last:
+                stack.append((letter, length + 1, nf_multiply(spec, value, basis[letter])))
     return True

@@ -297,6 +297,7 @@ def test_usage_errors_exit_1_and_leave_the_parser_usable(tmp_path, capsys):
             )
             for b in ("6", "6 4 2", "a 4")
         ),
+        (["nf", "--spec", "x:two y:2", "x"], "bad factor token 'x:two'"),
     ],
 )
 def test_nonsense_budgets_are_usage_errors(tmp_path, capsys, argv, message):
