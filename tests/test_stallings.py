@@ -4,6 +4,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from test_golden import criterion_8_cases
 from torlen.stallings import (
     SubgroupGraph,
     build_subgroup_graph,
@@ -13,7 +14,15 @@ from torlen.stallings import (
     membership,
     nielsen_reduce,
 )
-from torlen.words import Word, WordError, free_reduce, invert_ints, multiply_ints, word_to_ints
+from torlen.words import (
+    Word,
+    WordError,
+    free_reduce,
+    invert_ints,
+    multiply_ints,
+    reduce_ints,
+    word_to_ints,
+)
 
 F2 = ("a", "b")
 
@@ -146,15 +155,44 @@ def test_closure_oracle_agrees_with_graph():
             assert membership(graph, w) == (w.letters in members)
 
 
-def reference_closure_members(generators, max_length=8):
-    """``closure_members`` as it was when it explored tuples of ints: the
-    reference that the packed-int exploration must match."""
-    basis = nielsen_reduce(list(generators))
-    symbols = sorted({g for w in basis for g in w.symbols()})
+def pair_only_nielsen_reduce(generators):
+    """``nielsen_reduce`` as it was when it checked pairs only (N0 and N1,
+    no triple condition): int words over the sorted symbols, with them."""
+    generators = list(generators)
+    symbols = sorted({g for w in generators for g in w.symbols()})
     index = {g: i for i, g in enumerate(symbols)}
+    ws = [t for t in (reduce_ints(word_to_ints(w, index)) for w in generators) if t]
+    changed = True
+    while changed:
+        changed = False
+        canon = {}
+        for w in ws:
+            canon[min(w, invert_ints(w))] = w
+        ws = list(canon.values())
+        for i in range(len(ws)):
+            for j in range(len(ws)):
+                if i == j:
+                    continue
+                u, v = ws[i], ws[j]
+                best = v
+                for up in (u, invert_ints(u)):
+                    for cand in (multiply_ints(up, v), multiply_ints(v, up)):
+                        if len(cand) < len(best):
+                            best = cand
+                if len(best) < len(v):
+                    ws[j] = best
+                    changed = True
+        ws = [w for w in ws if w]
+    return sorted(ws), symbols
+
+
+def reference_closure_members(generators, max_length=8):
+    """``closure_members`` as it was when it explored tuples of ints over
+    a pair-only Nielsen reduction, to radius ``max_length`` plus the
+    longest basis word: the reference that later searches must match."""
+    basis, symbols = pair_only_nielsen_reduce(generators)
     gens = []
-    for b in basis:
-        t = word_to_ints(b, index)
+    for t in basis:
         gens.append(t)
         gens.append(invert_ints(t))
     radius = max_length + max((len(b) for b in basis), default=0)
@@ -203,6 +241,15 @@ def subgroup_ball_size(ambient, gens, radius):
     return total
 
 
+def capped_length(ambient, gens, max_length):
+    """``max_length``, lowered until the reference's ball holds at most
+    40,000 subgroup elements; F(a, b) at length 8 explores 39,365."""
+    longest = max((len(w) for w in pair_only_nielsen_reduce(gens)[0]), default=0)
+    while subgroup_ball_size(ambient, gens, max_length + longest) > 40_000:
+        max_length -= 1
+    return max_length
+
+
 @st.composite
 def small_subgroups(draw):
     """An ambient of 1-3 letters and 0-3 generator words of 0-5 letters,
@@ -226,11 +273,22 @@ def small_subgroups(draw):
 )
 def test_closure_members_matches_reference(case, max_length):
     ambient, gens = case
-    longest = max((len(w) for w in nielsen_reduce(gens)), default=0)
-    # keep each case cheap; F(a, b) at length 8 explores 39,365 states
-    while subgroup_ball_size(ambient, gens, max_length + longest) > 40_000:
-        max_length -= 1
+    max_length = capped_length(ambient, gens, max_length)
     assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
+
+
+def test_closure_members_matches_reference_on_criterion_8():
+    for gens in criterion_8_cases():
+        assert closure_members(gens, 8) == reference_closure_members(gens, 8)
+
+
+def test_closure_members_matches_reference_on_seeded_subgroups():
+    rng = random.Random(31)
+    for _ in range(300):
+        ambient = ("a", "b", "c")[: rng.randint(2, 3)]
+        gens = [random_reduced_word(rng, ambient, 5) for _ in range(rng.randint(1, 3))]
+        max_length = capped_length(ambient, gens, 6)
+        assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
 
 
 @settings(max_examples=300, deadline=None)
