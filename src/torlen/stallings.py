@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .words import (
@@ -214,9 +215,25 @@ def graph_report(graph: SubgroupGraph) -> dict:
 
 
 def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:
-    """Nielsen-reduce a finite generating set: repeatedly drop trivial
-    or redundant words and replace any word shortened by multiplication
-    with another generator (or its inverse) on either side."""
+    """Nielsen-reduce a finite generating set (Lyndon & Schupp,
+    *Combinatorial Group Theory*, ch. I.2): for u, v, w among the words
+    and their inverses,
+
+    - N0: u != 1;
+    - N1: |u v| >= |u|, |v| when u v != 1;
+    - N2: |u v w| > |u| - |v| + |w| when u v != 1 and v w != 1.
+
+    Trivial and repeated words are dropped, and a word that a product
+    with another word (or its inverse) on either side shortens is
+    replaced by it.  Under N1, N2 fails only where v = p q with
+    |p| = |q|, u ends in p^-1 and w begins with q^-1; then u becomes
+    u v if q^-1 < p, else w becomes v w.  The new word is as long as
+    the old one and shares its left half, the first ceil(n/2) letters
+    of a word of length n, while its inverse's left half starts with
+    q^-1 (or p) where the old one started with p (or q^-1).  So each
+    step lowers the total length, or keeps it and lowers one word's key
+    (length, sorted pair of the left halves of it and its inverse), and
+    the loop ends."""
     generators = list(generators)
     symbols = sorted({g for w in generators for g in w.symbols()})
     index = {g: i for i, g in enumerate(symbols)}
@@ -228,20 +245,29 @@ def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:
         for w in ws:
             canon[min(w, invert_ints(w))] = w
         ws = list(canon.values())
-        for i in range(len(ws)):
-            for j in range(len(ws)):
-                if i == j:
-                    continue
-                u, v = ws[i], ws[j]
-                best = v
-                for up in (u, invert_ints(u)):
-                    for cand in (multiply_ints(up, v), multiply_ints(v, up)):
-                        if len(cand) < len(best):
-                            best = cand
-                if len(best) < len(v):
-                    ws[j] = best
-                    changed = True
+        for i, j in permutations(range(len(ws)), 2):
+            u, v = ws[i], ws[j]
+            best = min((multiply_ints(*p) for t in (u, invert_ints(u)) for p in ((t, v), (v, t))), key=len)
+            if len(best) < len(v):
+                ws[j], changed = best, True
         ws = [w for w in ws if w]
+        if changed:
+            continue
+        for j, v in enumerate(ws):
+            h = len(v) // 2
+            if len(v) % 2:
+                continue
+            p, q_inv = v[:h], invert_ints(v[h:])
+            signed = [(i, t) for i, w in enumerate(ws) if i != j for t in (w, invert_ints(w))]
+            u_moves = [(i, multiply_ints(t, v)) for i, t in signed if t[-h:] == invert_ints(p)]
+            w_moves = [(i, multiply_ints(v, t)) for i, t in signed if t[:h] == q_inv]
+            if u_moves and w_moves:
+                if q_inv < p:
+                    i, ws[i] = u_moves[0]
+                else:
+                    i, ws[i] = w_moves[0]
+                changed = True
+                break
     return tuple(ints_to_word(w, symbols) for w in sorted(ws))
 
 
@@ -250,14 +276,17 @@ def closure_members(
 ) -> frozenset[tuple[tuple[str, int], ...]]:
     """Letter tuples of all subgroup elements of reduced length
     ``max_length`` or less, by breadth-first closure over a
-    Nielsen-reduced basis.
+    Nielsen-reduced basis, to radius ``max_length``.
 
-    The exploration radius is max_length plus the longest basis word:
-    with a Nielsen-reduced basis, partial products of a reduced
-    expression never overshoot the final length by more than one
-    factor, so the truncated closure is complete on the reported ball.
-    (Closure over the raw generators at radius max_length is *not*:
-    short members can require long intermediate products.)
+    The radius is complete.  Take a member w = u_1 ... u_n, each u_i a
+    basis word or inverse and u_i u_(i+1) != 1.  N1 lets a neighbour
+    cancel at most half of u_i and N2 not both halves, so every factor
+    keeps a middle letter and cancellation stays between neighbours.
+    With a_n the part of u_n that cancels against u_(n-1),
+    |u_1 ... u_n| - |u_1 ... u_(n-1)| = |u_n| - 2|a_n| >= 0 by N1: no
+    prefix of the path to w is longer than w.  (Closure over the raw
+    generators is *not* complete at this radius: short members can
+    require long intermediate products.)
 
     The search packs each reduced word into one int over the k basis
     symbols (``words.packed_digits``).  Appending a word is
@@ -285,7 +314,6 @@ def closure_members(
             for i in reversed(range(size)):
                 codes[i] = digit[g[i]] * shifts[i + 1] + codes[i + 1]
             moves.append((size, cancels, shifts, codes))
-    radius = max_length + max((len(b) for b in basis), default=0)
     seen = {0: 0}  # packed word -> its length
     queue = deque([0])
     while queue:
@@ -295,7 +323,7 @@ def closure_members(
         for size, cancels, shifts, codes in moves:
             if last != cancels[0]:
                 # nothing cancels: a plain concatenation
-                if n + size > radius:
+                if n + size > max_length:
                     continue
                 new, length = cur * shifts[0] + codes[0], n + size
             else:
@@ -304,13 +332,12 @@ def closure_members(
                     rest //= base
                     i += 1
                 length = n + size - 2 * i
-                if length > radius:
+                if length > max_length:
                     continue
                 new = rest * shifts[i] + codes[i]
             if new not in seen:
                 seen[new] = length
                 queue.append(new)
-    members = [w for w, length in seen.items() if length <= max_length]
     letter = {digit[x]: (symbols[abs(x) - 1], 1 if x > 0 else -1) for x in digit}
-    spelled = spell_packed(members, base, letter)
-    return frozenset(spelled[w] for w in members)
+    spelled = spell_packed(seen, base, letter)
+    return frozenset(spelled[w] for w in seen)

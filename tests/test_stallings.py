@@ -1,5 +1,6 @@
 import random
 from collections import Counter, deque
+from itertools import product
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -132,6 +133,15 @@ def test_nielsen_reduce_preserves_subgroup():
         gens = [random_reduced_word(rng, F2, 4) for _ in range(rng.randint(1, 3))]
         reduced = nielsen_reduce(gens)
         assert build_subgroup_graph(F2, reduced) == build_subgroup_graph(F2, gens)
+
+
+def test_nielsen_reduce_applies_the_triple_condition():
+    # No product of two of these words is shorter than either, so a
+    # pair-only reduction keeps b b a b a; but in (a b)^-1 . a b^-1 .
+    # b b a b a both halves of the middle word cancel, and the triple
+    # rule goes on to a basis of single letters.
+    reduced = nielsen_reduce([Word.from_text(t) for t in ("a b^-1", "a b", "b b a b a")])
+    assert sorted(max(w.letters, w.inverse().letters) for w in reduced) == [(("a", 1),), (("b", 1),)]
 
 
 def test_closure_oracle_fixed_cases():
@@ -289,6 +299,33 @@ def test_closure_members_matches_reference_on_seeded_subgroups():
         gens = [random_reduced_word(rng, ambient, 5) for _ in range(rng.randint(1, 3))]
         max_length = capped_length(ambient, gens, 6)
         assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_subgroups())
+# the criterion-8 subgroups whose pair-only reduction loses members at radius max_length
+@example((("a", "b"), [Word.from_text(t) for t in ("b^-1 a", "b a", "b^-1 b^-1 b^-1 a^-1")]))
+@example((("a", "b"), [Word.from_text(t) for t in ("a b^-1", "b a", "a^-1 a^-1 b")]))
+@example((("a", "b"), [Word.from_text(t) for t in ("a a", "a b^-1", "a^-1 b^-1 a^-1 b")]))
+@example((("a", "b"), [Word.from_text(t) for t in ("a^-1 b b", "b^-1 a^-1", "a b^-1")]))
+def test_nielsen_reduce_output_is_nielsen_reduced(case):
+    """N0, N1 and N2 of Lyndon & Schupp, ch. I.2, checked on every pair
+    and triple of output words and inverses, and the same subgroup."""
+    ambient, gens = case
+    reduced = nielsen_reduce(gens)
+    signed = [w for u in reduced for w in (u, u.inverse())]
+
+    def length(*factors):
+        return len(free_reduce(Word(sum((w.letters for w in factors), ()))))
+
+    assert all(u and free_reduce(u) == u for u in reduced)
+    for u, v in product(signed, repeat=2):
+        if length(u, v):
+            assert length(u, v) >= max(len(u), len(v))
+    for u, v, w in product(signed, repeat=3):
+        if length(u, v) and length(v, w):
+            assert length(u, v, w) > len(u) - len(v) + len(w)
+    assert build_subgroup_graph(ambient, reduced) == build_subgroup_graph(ambient, gens)
 
 
 @settings(max_examples=300, deadline=None)
