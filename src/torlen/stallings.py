@@ -247,16 +247,17 @@ def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:
         ws = list(canon.values())
         for i, j in permutations(range(len(ws)), 2):
             u, v = ws[i], ws[j]
-            best = min((multiply_ints(*p) for t in (u, invert_ints(u)) for p in ((t, v), (v, t))), key=len)
+            products = [multiply_ints(a, b) for t in (u, invert_ints(u)) for a, b in ((t, v), (v, t))]
+            best = min(products, key=len)
             if len(best) < len(v):
                 ws[j], changed = best, True
         ws = [w for w in ws if w]
-        if changed:
+        if changed:  # the N2 rule needs N1 to hold
             continue
         for j, v in enumerate(ws):
-            h = len(v) // 2
             if len(v) % 2:
                 continue
+            h = len(v) // 2
             p, q_inv = v[:h], invert_ints(v[h:])
             signed = [(i, t) for i, w in enumerate(ws) if i != j for t in (w, invert_ints(w))]
             u_moves = [(i, multiply_ints(t, v)) for i, t in signed if t[-h:] == invert_ints(p)]
