@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from collections import Counter, deque
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -287,9 +290,37 @@ def test_closure_members_matches_reference(case, max_length):
     assert closure_members(gens, max_length) == reference_closure_members(gens, max_length)
 
 
+# reference_closure_members(gens, 8) on each of criterion 8's cases, by
+# members_digest; to write the file afresh, run
+#     PYTHONPATH=src python tests/test_stallings.py
+CRITERION_8_DIGESTS = Path(__file__).parent / "golden" / "criterion_8_members.json"
+
+
+def shortlex_positions(ambient, max_length):
+    """Each reduced word of length ``max_length`` or less over ``ambient``
+    -> its position in shortlex order, each generator before its inverse."""
+    letters = [(g, s) for g in ambient for s in (1, -1)]
+    words, level = [()], [()]
+    for _ in range(max_length):
+        level = [w + (x,) for w in level for x in letters if not w or w[-1] != (x[0], -x[1])]
+        words += level
+    return {w: i for i, w in enumerate(words)}
+
+
+def members_digest(members, positions) -> str:
+    """sha256 of a set of letter tuples as its sorted shortlex positions:
+    exact, and cheaper than sorting the tuples themselves."""
+    return hashlib.sha256(repr(sorted(map(positions.__getitem__, members))).encode()).hexdigest()
+
+
 def test_closure_members_matches_reference_on_criterion_8():
-    for gens in criterion_8_cases():
-        assert closure_members(gens, 8) == reference_closure_members(gens, 8)
+    expected = json.loads(CRITERION_8_DIGESTS.read_text())
+    cases = criterion_8_cases()
+    assert len(expected) == len(cases)
+    positions = shortlex_positions(F2, 8)
+    for i, (gens, want) in enumerate(zip(cases, expected)):
+        got = members_digest(closure_members(gens, 8), positions)
+        assert got == want, f"case {i}: {[w.to_text() for w in gens]}"
 
 
 def test_closure_members_matches_reference_on_seeded_subgroups():
@@ -433,3 +464,12 @@ def test_membership_walks_back_over_cancelling_pairs():
     assert not membership(graph, Word.from_text("b a b^-1"))
     assert membership(graph, Word.from_text("c c^-1"))
     assert not membership(graph, Word.from_text("a c"))
+
+
+if __name__ == "__main__":
+    positions = shortlex_positions(F2, 8)
+    digests = [
+        members_digest(reference_closure_members(gens, 8), positions)
+        for gens in criterion_8_cases()
+    ]
+    CRITERION_8_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
