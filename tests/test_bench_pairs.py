@@ -147,3 +147,37 @@ def test_main_records_each_checkouts_source_line_total(tmp_path, monkeypatch, ca
     assert json.loads(out.read_text())["src_lines"] == {"parent": 5, "change": 4}
     printed = capsys.readouterr().out.splitlines()
     assert [line for line in printed if "lines" in line] == ["src/torlen/*.py lines: 5 -> 4"]
+
+
+def test_main_records_each_checkouts_median_import_time(tmp_path, monkeypatch, capsys):
+    # the parent's torlen sleeps 10 ms in __init__ and 10 ms in a module the
+    # package does not import itself, so 20 ms in all; the change's is fast
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    sources = {parent: {"__init__.py": "import time\ntime.sleep(0.01)\n",
+                        "slow.py": "import time\ntime.sleep(0.01)\n"},
+               change: {"__init__.py": "", "words.py": "X = 1\n"}}
+    for checkout, files in sources.items():
+        (checkout / "src" / "torlen").mkdir(parents=True)
+        for name, text in files.items():
+            (checkout / "src" / "torlen" / name).write_text(text)
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run(side, checkout, workload, seed, seconds):
+        return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "passes": 10}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "oracles",
+                      "--seeds", "1", "--out", str(out)])
+    imports = json.loads(out.read_text())["import_ms"]
+    assert imports["parent"] >= 20 > imports["change"]
+    printed = [line for line in capsys.readouterr().out.splitlines() if "import" in line]
+    assert printed == [f"torlen import ms, median of 11: {imports['parent']} -> "
+                       f"{imports['change']}"]
+
+
+def test_import_time_is_null_when_torlen_does_not_import(tmp_path):
+    assert bench_pairs.import_ms(tmp_path) is None  # no src/torlen at all
+    (tmp_path / "src" / "torlen").mkdir(parents=True)
+    (tmp_path / "src" / "torlen" / "__init__.py").write_text("raise ImportError\n")
+    assert bench_pairs.import_ms(tmp_path) is None

@@ -10,11 +10,18 @@ prints) under its workload, seed and side, with the number of passes the
 run timed (from the report on its first line) added as ``passes``, plus
 the Python version and CPU count of the machine and each checkout's
 ``src/torlen/*.py`` line total (as ``wc -l`` counts it) under
-``src_lines``, which is printed once.  An existing file is
-extended, so the workloads can be run one at a time.  When a run exits
-non-zero, the tool stops with that run's side, seed and the end of its
-stderr; when a run reports ``"correct": false``, it stops with that
-run's side, seed and count of wrong jobs.  The pairs before it are kept.
+``src_lines`` and its median torlen import time in milliseconds under
+``import_ms`` (null when torlen does not import from the checkout), each
+printed once.  ``import_ms`` times 11 imports of the package and every
+module in it in a fresh interpreter, dropping torlen from
+``sys.modules`` before each, as ``perfbench/run.py`` does: it is the
+import share of ``setup_s``, apart from input generation.
+
+An existing file is extended, so the workloads can be run one at a
+time.  When a run exits non-zero, the tool stops with that run's side,
+seed and the end of its stderr; when a run reports ``"correct": false``,
+it stops with that run's side, seed and count of wrong jobs.  The pairs
+before it are kept.
 
 After each metric's medians comes a gain verdict: "gain" when the change
 is better in at least nine tenths of the pairs (ties count for neither)
@@ -71,6 +78,34 @@ def source_lines(checkout: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "torlen").glob("*.py"))
 
 
+IMPORT_TIMER = """
+import importlib, os, statistics, sys, time
+src = sys.argv[1]
+sys.path.insert(0, src)
+names = ["torlen"] + sorted("torlen." + f[:-3] for f in os.listdir(os.path.join(src, "torlen"))
+                            if f.endswith(".py") and f != "__init__.py")
+spans = []
+for _ in range(11):
+    for name in [k for k in sys.modules if k == "torlen" or k.startswith("torlen.")]:
+        del sys.modules[name]
+    t0 = time.perf_counter()
+    for name in names:
+        importlib.import_module(name)
+    spans.append(time.perf_counter() - t0)
+if not (sys.modules["torlen"].__file__ or "").startswith(src + os.sep):
+    sys.exit("torlen was not imported from " + src)
+print(statistics.median(spans) * 1000)
+"""
+
+
+def import_ms(checkout: Path) -> float | None:
+    """The checkout's median torlen import time in ms, or None when
+    torlen does not import from its ``src``."""
+    src = str((checkout / "src").resolve())
+    done = subprocess.run([sys.executable, "-c", IMPORT_TIMER, src], capture_output=True, text=True)
+    return round(float(done.stdout), 2) if done.returncode == 0 else None
+
+
 def value(run: dict, metric: str) -> float:
     return run["metrics"][metric]["value"]
 
@@ -116,8 +151,12 @@ def main(argv: list[str] | None = None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     lines = {side: source_lines(getattr(args, side)) for side in ("parent", "change")}
-    record.update(python=platform.python_version(), cpus=os.cpu_count(), src_lines=lines)
+    imports = {side: import_ms(getattr(args, side)) for side in ("parent", "change")}
+    record.update(python=platform.python_version(), cpus=os.cpu_count(), src_lines=lines,
+                  import_ms=imports)
     print(f"src/torlen/*.py lines: {lines['parent']} -> {lines['change']}", flush=True)
+    print(f"torlen import ms, median of 11: {imports['parent']} -> {imports['change']}",
+          flush=True)
     pairs = record.setdefault("pairs", [])
     for i, seed in enumerate(args.seeds):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
