@@ -68,21 +68,24 @@ class CyclicFactorSpec:
         return self.factors[factor_index][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NormalForm:
     """Alternating syllable form: adjacent syllables lie in distinct
     factors; finite-factor exponents are normalized into 1..order-1."""
 
     syllables: tuple[tuple[int, int], ...] = ()
 
+    def __init__(self, syllables: tuple[tuple[int, int], ...] = ()):
+        _set_syllables(self, syllables)
+
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
     def to_word(self, spec: CyclicFactorSpec) -> Word:
         return _spell(spec, self.syllables)
+
+
+_set_syllables = NormalForm.syllables.__set__
 
 
 def _spell(spec: CyclicFactorSpec, syllables) -> Word:

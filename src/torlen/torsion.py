@@ -24,7 +24,7 @@ conjugates of relators the words that have a power in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .consequences import closure_ball, conjugate_ints, verify_factors
@@ -176,7 +176,7 @@ def torsion_length(p: Presentation, max_iter: int = 32) -> TorsionLengthReport:
 # -- bounded torsion certificates ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TorsionCertificate:
     """Evidence that word^exponent dies after ``level`` torsion
     quotients: an explicit product of conjugates of the working relator
@@ -189,12 +189,20 @@ class TorsionCertificate:
     factors: tuple[tuple[Word, Word, int], ...]  # (conjugator, relator, sign)
     adjoined: tuple[Word, ...] = ()
     supporting: tuple["TorsionCertificate", ...] = ()
-
     # The result of ``verify``, kept once known: a certificate is
     # immutable, and the certificates of one level share their supporting
-    # certificates.  A class attribute, not a field, so ``==``, ``hash``
-    # and ``repr`` ignore it.
-    _verified = None
+    # certificates.  ``==``, ``hash`` and ``repr`` ignore it, and
+    # ``dataclasses.replace`` starts a new one.
+    _verified: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, word, exponent, level, factors, adjoined=(), supporting=()):
+        _set_word(self, word)
+        _set_exponent(self, exponent)
+        _set_level(self, level)
+        _set_factors(self, factors)
+        _set_adjoined(self, adjoined)
+        _set_supporting(self, supporting)
+        _set_verified(self, None)
 
     def verify(self) -> bool:
         """Recheck the exponent, which must be at least 1, and the
@@ -213,8 +221,12 @@ class TorsionCertificate:
             target = _reduced_power(word, self.exponent, limit) if self.exponent >= 1 else None
             ok = target is not None and verify_factors(target, factors, relators)
             ok = ok and all(c.verify() for c in self.supporting)
-            object.__setattr__(self, "_verified", ok)
+            _set_verified(self, ok)
         return self._verified
+
+
+(_set_word, _set_exponent, _set_level, _set_factors, _set_adjoined, _set_supporting,
+ _set_verified) = (getattr(TorsionCertificate, f.name).__set__ for f in fields(TorsionCertificate))
 
 
 def _reduced_power(word: IntWord, n: int, limit: int) -> IntWord | None:

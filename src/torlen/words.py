@@ -11,6 +11,12 @@ Letters are checked where they enter (``Word(...)``, ``gen``,
 file format's ``[A-Za-z0-9_.]+``, so every checked name serializes and
 parses back.  ``cyclic_key`` is the one canonical form of a cyclic int
 word up to inversion.
+
+``Word``, ``freeprod.NormalForm`` and ``torsion.TorsionCertificate``,
+built by the ten thousand, are slotted, and their ``__init__`` stores
+each field through its slot descriptor, cheaper than the frozen
+``object.__setattr__``.  The other dataclasses are built too rarely to
+repay that code or ``slots=True``, which rebuilds a class at import.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ def check_symbol(name: str) -> str:
     ``_`` or ``.``, the names the presentation file format reads."""
     if name in _ACCEPTED_SYMBOLS:
         return name
-    if not _SYMBOL_RE.fullmatch(name):
+    if not isinstance(name, str) or not _SYMBOL_RE.fullmatch(name):
         raise WordError(f"generator name {name!r} is not in [A-Za-z0-9_.]+")
     if len(_ACCEPTED_SYMBOLS) >= _ACCEPTED_SYMBOLS_CAP:
         _ACCEPTED_SYMBOLS.clear()
@@ -53,7 +59,7 @@ def check_symbol(name: str) -> str:
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A finite sequence of signed generator letters.
 
@@ -63,13 +69,23 @@ class Word:
 
     letters: tuple[Letter, ...] = ()
 
+    def __init__(self, letters: Iterable[Letter] = ()):
+        _set_letters(self, tuple(letters))
+        self.__post_init__()  # the check; perfbench's tracer counts Words here
+
     def __post_init__(self):
         accepted = _ACCEPTED_SYMBOLS
-        for name, sign in self.letters:
-            if name not in accepted:
-                check_symbol(name)
-            if sign not in (1, -1):
-                raise WordError(f"letter sign must be +1 or -1, got {sign}")
+        try:
+            for letter in self.letters:
+                name, sign = letter
+                if name not in accepted:
+                    check_symbol(name)
+                if sign not in (1, -1):
+                    raise WordError(f"letter sign must be +1 or -1, got {sign}")
+        except WordError:
+            raise
+        except (TypeError, ValueError):  # not a pair, or an unhashable name
+            raise WordError(f"letter {letter!r} is not a (name, sign) pair") from None
 
     # -- constructors -------------------------------------------------
 
@@ -99,9 +115,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         """Concatenation.  Does *not* freely reduce."""
         return _word(self.letters + other.letters)
@@ -124,10 +137,13 @@ class Word:
         return {g for g, _ in self.letters}
 
 
+_set_letters = Word.letters.__set__
+
+
 def _word(letters: tuple[Letter, ...]) -> Word:
     """A Word over already checked letters, built without ``Word``'s check."""
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    _set_letters(w, letters)
     return w
 
 

@@ -51,6 +51,34 @@ def test_direct_construction_rejects_bad_letters(letter):
         Word((letter,))
 
 
+@pytest.mark.parametrize(
+    "letters",
+    ["ab", ("a",), (("a", 1, 1),), ((1, 1),), ((None, 1),), ((["a"], 1),), (5,), ((("a", 1),),)],
+)
+def test_direct_construction_rejects_letters_that_are_not_name_sign_pairs(letters):
+    with pytest.raises(WordError):
+        Word(letters)
+    with pytest.raises(WordError):
+        Word((("a", 1),) + tuple(letters))  # also after a good letter
+
+
+def test_direct_construction_stores_a_tuple():
+    letters = [("a", 1), ("b", -1)]
+    w = Word(letters)
+    letters.append(("c", 1))
+    assert type(w.letters) is tuple and w.letters == (("a", 1), ("b", -1))
+    assert hash(w) == hash(Word.from_text("a b^-1"))
+    assert Word(letter for letter in letters) == Word.from_text("a b^-1 c")
+
+
+def test_check_symbol_rejects_names_that_are_not_strings():
+    for name in (1, None, b"a"):
+        with pytest.raises(WordError):
+            check_symbol(name)
+    with pytest.raises(WordError):
+        Word.gen(1)
+
+
 def test_bad_letters_rejected_after_valid_name_is_cached():
     Word((("x", 1),))
     for _ in range(2):
