@@ -44,6 +44,7 @@ INPUTS = {
         "rel: b a b^-1 a^-1\n"
     ),
     "bad.txt": "rel: y\n",
+    "free2.txt": "gens: a b\n",
 }
 
 COMMANDS = [
@@ -76,6 +77,12 @@ COMMANDS = [
     ["ab", "bad.txt"],
     ["canon", "p222.txt"],
     ["canon", "messy.txt"],
+    # payload fields at values no entry above reaches
+    ["torlen", "p222.txt", "--max-iter", "1"],
+    ["torsion-search", "p222.txt", "--word-bound", "4", "--exponent-bound", "2",
+     "--consequence-budget", "3"],
+    ["nf", "--spec", "x:2", "x x"],
+    ["ln", "free2.txt"],
 ]
 
 
