@@ -10,6 +10,7 @@ moves whose output is valid by construction build it unchecked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -230,6 +231,13 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # -- serialization --------------------------------------------------------
 
 
+def _token_error(message: str, lineno: int, raw: str, keyword: str, k: int):
+    """A syntax error at the k-th token after ``keyword`` in the line ``raw``."""
+    start = raw.index(keyword) + len(keyword)
+    column = start + [m.start() for m in re.finditer(r"\S+", raw[start:])][k]
+    return PresentationSyntaxError(message, lineno, column)
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format:
 
@@ -247,13 +255,11 @@ def parse_presentation(text: str) -> Presentation:
             if generators is not None:
                 raise PresentationSyntaxError("duplicate gens: line", lineno)
             generators = []
-            for tok in line[len("gens:") :].split():
+            for k, tok in enumerate(line[len("gens:") :].split()):
                 # check_symbol's rule without its cache, which would keep
                 # every parsed name alive for the rest of the process
                 if not _SYMBOL_RE.fullmatch(tok):
-                    raise PresentationSyntaxError(
-                        f"bad generator token {tok!r}", lineno, raw.index(tok)
-                    )
+                    raise _token_error(f"bad generator token {tok!r}", lineno, raw, "gens:", k)
                 if tok in declared:
                     raise PresentationSyntaxError(f"duplicate generator {tok!r}", lineno)
                 declared.add(tok)
@@ -262,7 +268,7 @@ def parse_presentation(text: str) -> Presentation:
             if generators is None:
                 raise PresentationSyntaxError("rel: before gens:", lineno)
             letters = []
-            for tok in line[len("rel:") :].split():
+            for k, tok in enumerate(line[len("rel:") :].split()):
                 if tok.endswith("^-1"):
                     name, sign = tok[:-3], -1
                 else:
@@ -271,7 +277,7 @@ def parse_presentation(text: str) -> Presentation:
                     # declared names passed the rule, so only here can a
                     # token be malformed
                     if not _SYMBOL_RE.fullmatch(name):
-                        raise PresentationSyntaxError(f"bad token {tok!r}", lineno, raw.index(tok))
+                        raise _token_error(f"bad token {tok!r}", lineno, raw, "rel:", k)
                     raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
                 letters.append((name, sign))
             relators.append(free_reduce(_word(tuple(letters))))

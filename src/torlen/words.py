@@ -46,7 +46,7 @@ _ACCEPTED_SYMBOLS_CAP = 4096
 def check_symbol(name: str) -> str:
     """Validate a generator name: one or more ASCII letters, digits,
     ``_`` or ``.``, the names the presentation file format reads."""
-    if name in _ACCEPTED_SYMBOLS:
+    if isinstance(name, str) and name in _ACCEPTED_SYMBOLS:  # the cache needs a hash
         return name
     if not isinstance(name, str) or not _SYMBOL_RE.fullmatch(name):
         raise WordError(f"generator name {name!r} is not in [A-Za-z0-9_.]+")
@@ -177,8 +177,7 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
     """
     substituted = set(mapping)
     for g, image in mapping.items():
-        bad = image.symbols() & substituted
-        if bad:
+        if bad := image.symbols() & substituted:
             raise WordError(
                 f"image of {g!r} mentions substituted symbol(s) {sorted(bad)}"
             )

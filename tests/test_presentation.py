@@ -513,6 +513,22 @@ def test_parse_rejects_malformed_lines(text, message, line, column):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("gens: s:\n", 1, 6),  # "s:" also occurs inside the keyword
+        ("gens: a\nrel: l:\n", 2, 5),
+        ("  gens: a s:\n", 1, 10),
+        ("gens:a a:\n", 1, 7),
+        ("gens: a\n\trel: a^-1 ^-1\n", 2, 11),  # "^-1" also ends the first token
+    ],
+)
+def test_parse_error_column_is_the_token_after_the_keyword(text, line, column):
+    with pytest.raises(PresentationSyntaxError, match="bad") as exc:
+        parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n   # another\n"])
 def test_text_without_lines_parses_to_the_empty_presentation(text):
     assert parse_presentation(text) == Presentation((), ())

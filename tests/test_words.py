@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torlen import words as words_module
-from torlen.presentation import parse_presentation
+from torlen.presentation import Presentation, parse_presentation
 from torlen.words import (
     Word,
     WordError,
@@ -77,6 +77,19 @@ def test_check_symbol_rejects_names_that_are_not_strings():
             check_symbol(name)
     with pytest.raises(WordError):
         Word.gen(1)
+
+
+def test_check_symbol_rejects_unhashable_names():
+    # the type is tested before the accepted-name cache, which needs a hash
+    for name in (["a"], {"a": 1}, {"a"}):
+        with pytest.raises(WordError):
+            check_symbol(name)
+    with pytest.raises(WordError):
+        Word.gen(["a"])
+    with pytest.raises(WordError):
+        Presentation((["a"],), ())
+    with pytest.raises(WordError):
+        Word(((["a"], 1),))
 
 
 def test_bad_letters_rejected_after_valid_name_is_cached():
