@@ -10,7 +10,6 @@ from torlen import (
     build_subgroup_graph,
     closure_members,
     free_basis,
-    graph_report,
     membership,
     nielsen_reduce,
 )
@@ -27,7 +26,7 @@ examples = [
 for texts in examples:
     gens = [Word.from_text(t) for t in texts]
     graph = build_subgroup_graph(ambient, gens)
-    report = graph_report(graph)
+    report = graph.to_json()
     print("generators:", texts)
     print("  vertices:", report["vertices"], " edges:", report["edges"],
           " rank:", report["rank"])

@@ -53,7 +53,6 @@ from .stallings import (
     build_subgroup_graph,
     closure_members,
     free_basis,
-    graph_report,
     membership,
     nielsen_reduce,
 )

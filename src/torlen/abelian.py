@@ -32,6 +32,9 @@ class AbelianInvariants:
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
 
+    def to_json(self) -> dict:
+        return {"torsion": list(self.torsion_coefficients), "free_rank": self.free_rank}
+
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.

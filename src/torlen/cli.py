@@ -17,7 +17,6 @@ from .constructions import build_chain, build_ln, build_pjkl, build_pn, build_qn
 from .coset import todd_coxeter
 from .freeprod import (
     CyclicFactorSpec,
-    NoWitnessUpToBound,
     conjugate_separation_search,
     normal_form,
     ping_pong_free_check,
@@ -28,7 +27,7 @@ from .presentation import (
     parse_presentation,
     serialize_presentation,
 )
-from .stallings import build_subgroup_graph, graph_report
+from .stallings import build_subgroup_graph
 from .torsion import check_certificates, torsion_certificate_search, torsion_length
 from .words import Word
 
@@ -100,9 +99,7 @@ def cmd_ln(args) -> int:
 def cmd_torlen(args) -> int:
     p = _read_presentation(args.file)
     report = torsion_length(p, max_iter=args.max_iter)
-    payload = report.to_json()
-    payload["budgets"] = {"max_iter": args.max_iter}
-    _emit_json(payload)
+    _emit_json(report.to_json())
     return EXIT_OK if report.exact else EXIT_BUDGET
 
 
@@ -115,58 +112,26 @@ def cmd_torsion_search(args) -> int:
         exponent_bound=args.exponent_bound,
         consequence_budget=args.consequence_budget,
     )
-    verified = check_certificates(p, report.certificates)
-    _emit_json(
-        {
-            "level": report.level,
-            "budgets": {
-                "word_bound": report.word_bound,
-                "exponent_bound": report.exponent_bound,
-                "consequence_budget": report.consequence_budget,
-            },
-            "exhaustive": report.exhaustive,
-            "certificates": [
-                {
-                    "word": c.word.to_text(),
-                    "exponent": c.exponent,
-                    "level": c.level,
-                    "conjugate_factors": len(c.factors),
-                    "verified": ok,
-                }
-                for c, ok in zip(report.certificates, verified)
-            ],
-        }
-    )
+    _emit_json(report.to_json(check_certificates(p, report.certificates)))
     return EXIT_OK
 
 
 def cmd_tc(args) -> int:
     p = _read_presentation(args.file)
-    subgroup = _split_words(args.subgroup) if args.subgroup else []
-    table = todd_coxeter(p, subgroup, max_cosets=args.max)
+    table = todd_coxeter(p, _split_words(args.subgroup), max_cosets=args.max)
     _emit_json(table.to_json())
     return EXIT_OK if table.status == "complete" else EXIT_BUDGET
 
 
 def cmd_fold(args) -> int:
-    ambient = args.ambient.split()
-    generators = _split_words(args.gens)
-    graph = build_subgroup_graph(ambient, generators)
-    _emit_json(graph_report(graph))
+    graph = build_subgroup_graph(args.ambient.split(), _split_words(args.gens))
+    _emit_json(graph.to_json())
     return EXIT_OK
 
 
 def cmd_nf(args) -> int:
     spec = CyclicFactorSpec.from_text(args.spec)
-    nf = normal_form(spec, Word.from_text(args.word))
-    _emit_json(
-        {
-            "syllables": [
-                {"generator": spec.generator(i), "exponent": e} for i, e in nf.syllables
-            ],
-            "word": nf.to_word(spec).to_text(),
-        }
-    )
+    _emit_json(normal_form(spec, Word.from_text(args.word)).to_json(spec))
     return EXIT_OK
 
 
@@ -179,14 +144,7 @@ def cmd_conjsep(args) -> int:
     result = conjugate_separation_search(
         spec, Word.from_text(args.a), Word.from_text(args.b), syllables, exponent
     )
-    payload = {
-        "verdict": "no-witness-up-to-bound",
-        "bounds": {"max_syllables": syllables, "max_exponent": exponent},
-    }
-    if not isinstance(result, NoWitnessUpToBound):
-        payload["verdict"] = "witness"
-        payload["witness"] = {"x": result.x.to_text(), "i": result.i, "j": result.j}
-    _emit_json(payload)
+    _emit_json(result.to_json(syllables, exponent))
     return EXIT_OK
 
 
@@ -200,8 +158,7 @@ def cmd_pingpong(args) -> int:
 
 def cmd_ab(args) -> int:
     p = _read_presentation(args.file)
-    inv = abelianization(p)
-    _emit_json({"torsion": list(inv.torsion_coefficients), "free_rank": inv.free_rank})
+    _emit_json(abelianization(p).to_json())
     return EXIT_OK
 
 

@@ -84,6 +84,10 @@ class NormalForm:
     def to_word(self, spec: CyclicFactorSpec) -> Word:
         return _spell(spec, self.syllables)
 
+    def to_json(self, spec: CyclicFactorSpec) -> dict:
+        syllables = [{"generator": spec.generator(i), "exponent": e} for i, e in self.syllables]
+        return {"syllables": syllables, "word": self.to_word(spec).to_text()}
+
 
 _set_syllables = NormalForm.syllables.__set__
 
@@ -195,11 +199,22 @@ class SeparationWitness:
     i: int
     j: int
 
+    def to_json(self, max_syllables: int, max_exponent: int) -> dict:
+        """The report of a search at these bounds, which the witness does not keep."""
+        bounds = {"max_syllables": max_syllables, "max_exponent": max_exponent}
+        witness = {"x": self.x.to_text(), "i": self.i, "j": self.j}
+        return {"verdict": "witness", "bounds": bounds, "witness": witness}
+
 
 @dataclass(frozen=True)
 class NoWitnessUpToBound:
     max_syllables: int
     max_exponent: int
+
+    def to_json(self, max_syllables: int, max_exponent: int) -> dict:
+        """As ``SeparationWitness.to_json``: callers need not tell the two apart."""
+        bounds = {"max_syllables": max_syllables, "max_exponent": max_exponent}
+        return {"verdict": "no-witness-up-to-bound", "bounds": bounds}
 
 
 def conjugate_separation_search(

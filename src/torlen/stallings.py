@@ -73,6 +73,14 @@ class SubgroupGraph:
     def rank(self) -> int:
         return len(self.edges) - self.n_vertices + 1
 
+    def to_json(self) -> dict:
+        return {
+            "rank": self.rank(),
+            "basis": [w.to_text() for w in free_basis(self)],
+            "vertices": self.n_vertices,
+            "edges": len(self.edges),
+        }
+
 
 def build_subgroup_graph(ambient: Sequence[str], generators: Iterable[Word]) -> SubgroupGraph:
     """Wedge of loops at the base, fully folded.  The ambient names must
@@ -203,15 +211,6 @@ def membership(graph: SubgroupGraph, w: Word) -> bool:
         if vertex is None:
             return False
     return vertex == graph.base
-
-
-def graph_report(graph: SubgroupGraph) -> dict:
-    return {
-        "rank": graph.rank(),
-        "basis": [w.to_text() for w in free_basis(graph)],
-        "vertices": graph.n_vertices,
-        "edges": len(graph.edges),
-    }
 
 
 def nielsen_reduce(generators: Iterable[Word]) -> tuple[Word, ...]:

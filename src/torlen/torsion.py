@@ -139,6 +139,7 @@ class TorsionLengthReport:
     exact: bool  # False means "at least value"
     sound: bool
     trace: tuple[tuple[Presentation, frozenset[str], Presentation], ...]
+    max_iter: int
 
     def to_json(self) -> dict:
         return {
@@ -146,6 +147,7 @@ class TorsionLengthReport:
             "exact": self.exact,
             "sound": self.sound,
             "steps": [sorted(killed) for _, killed, _ in self.trace],
+            "budgets": {"max_iter": self.max_iter},
         }
 
 
@@ -166,11 +168,11 @@ def torsion_length(p: Presentation, max_iter: int = 32) -> TorsionLengthReport:
         if not step.killed:
             # no visible torsion is left, so a sound step means torsion-free
             exact = all_sound and step.sound
-            return TorsionLengthReport(len(trace), exact, exact, tuple(trace))
+            return TorsionLengthReport(len(trace), exact, exact, tuple(trace), max_iter)
         trace.append((current, step.killed, step.presentation))
         all_sound = all_sound and step.sound
         current = step.presentation
-    return TorsionLengthReport(len(trace), False, all_sound, tuple(trace))
+    return TorsionLengthReport(len(trace), False, all_sound, tuple(trace), max_iter)
 
 
 # -- bounded torsion certificates ------------------------------------------
@@ -302,6 +304,25 @@ class CertificateSearchReport:
     consequence_budget: int
     exhaustive: bool
     certificates: tuple[TorsionCertificate, ...]
+
+    def to_json(self, verified: list[bool]) -> dict:
+        """The report, with ``check_certificates``' results as ``verified``."""
+        budgets = ("word_bound", "exponent_bound", "consequence_budget")
+        return {
+            "level": self.level,
+            "budgets": {name: getattr(self, name) for name in budgets},
+            "exhaustive": self.exhaustive,
+            "certificates": [
+                {
+                    "word": c.word.to_text(),
+                    "exponent": c.exponent,
+                    "level": c.level,
+                    "conjugate_factors": len(c.factors),
+                    "verified": ok,
+                }
+                for c, ok in zip(self.certificates, verified)
+            ],
+        }
 
 
 def torsion_certificate_search(

@@ -14,7 +14,6 @@ from torlen.stallings import (
     build_subgroup_graph,
     closure_members,
     free_basis,
-    graph_report,
     membership,
     nielsen_reduce,
 )
@@ -389,7 +388,7 @@ def test_closure_members_rejects_negative_length():
 
 
 def test_graph_report_shape():
-    report = graph_report(build_subgroup_graph(F2, [Word.from_text("a a")]))
+    report = build_subgroup_graph(F2, [Word.from_text("a a")]).to_json()
     assert report == {"rank": 1, "basis": ["a a"], "vertices": 2, "edges": 2}
 
 
