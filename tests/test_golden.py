@@ -17,14 +17,23 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from torlen.abelian import smith_normal_form
-from torlen.cli import main
+from torlen.cli import build_parser, main
 from torlen.consequences import closure_ball
 from torlen.constructions import build_chain, build_ln, build_pjkl, build_pn
 from torlen.coset import todd_coxeter
-from torlen.presentation import Presentation, adjoin_relators, serialize_presentation
+from torlen.freeprod import CyclicFactorSpec, conjugate_separation_search, normal_form
+from torlen.presentation import (
+    Presentation,
+    abelianization,
+    adjoin_relators,
+    parse_presentation,
+    serialize_presentation,
+)
 from torlen.stallings import build_subgroup_graph, free_basis, nielsen_reduce
-from torlen.torsion import torsion_certificate_search
+from torlen.torsion import check_certificates, torsion_certificate_search, torsion_length
 from torlen.words import Word, free_reduce, word_to_ints
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -95,6 +104,48 @@ def _run_commands(workdir: Path, capture) -> list[dict]:
         code = main(full)
         results.append({"argv": argv, "exit": code, "stdout": capture().splitlines()})
     return results
+
+
+def _read(path: str) -> Presentation:
+    return parse_presentation(Path(path).read_text())
+
+
+def _words(text: str) -> list[Word]:
+    return [Word.from_text(chunk) for chunk in text.split(";") if chunk.strip()]
+
+
+def _search_payload(args) -> dict:
+    p = _read(args.file)
+    report = torsion_certificate_search(
+        p, args.level, args.word_bound, args.exponent_bound, args.consequence_budget
+    )
+    return report.to_json(check_certificates(p, report.certificates))
+
+
+def _nf_payload(args) -> dict:
+    spec = CyclicFactorSpec.from_text(args.spec)
+    return normal_form(spec, Word.from_text(args.word)).to_json(spec)
+
+
+def _conjsep_payload(args) -> dict:
+    spec = CyclicFactorSpec.from_text(args.spec)
+    bounds = [int(b) for b in args.bounds.split()]
+    a, b = Word.from_text(args.a), Word.from_text(args.b)
+    return conjugate_separation_search(spec, a, b, *bounds).to_json(*bounds)
+
+
+# Each JSON command's payload from the library alone, given the CLI's
+# parsed arguments: one call, then the result's to_json.  pingpong and
+# the constructions (tgen, ln) are absent: the CLI builds their payloads.
+LIBRARY = {
+    "torlen": lambda args: torsion_length(_read(args.file), args.max_iter).to_json(),
+    "torsion-search": _search_payload,
+    "tc": lambda args: todd_coxeter(_read(args.file), _words(args.subgroup), args.max).to_json(),
+    "fold": lambda args: build_subgroup_graph(args.ambient.split(), _words(args.gens)).to_json(),
+    "nf": _nf_payload,
+    "conjsep": _conjsep_payload,
+    "ab": lambda args: abelianization(_read(args.file)).to_json(),
+}
 
 
 def _certificate_payload(cert) -> tuple:
@@ -303,6 +354,35 @@ def test_cli_outputs_match_golden(tmp_path, capsys):
         assert len(got) == len(expected["commands"])
         for want, have in zip(expected["commands"], got):
             assert have == want
+
+
+def test_library_payloads_equal_the_cli(tmp_path, capsys):
+    """Every JSON command of COMMANDS but pingpong, tgen and ln prints
+    exactly its library call's to_json: no cmd_* adds a key of its own."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    json_commands, compared, verdicts = set(), set(), set()
+    for argv in COMMANDS:
+        full = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+        code = main(full)
+        out = capsys.readouterr().out.splitlines()
+        if out and out[-1].startswith("{"):
+            json_commands.add(argv[0])
+        if argv[0] not in LIBRARY:
+            continue
+        args = build_parser().parse_args(full)
+        if code == 1:  # an input error: the library raises it, the CLI prints nothing
+            assert out == []
+            with pytest.raises(ValueError):
+                LIBRARY[argv[0]](args)
+            continue
+        payload = LIBRARY[argv[0]](args)
+        assert json.dumps(payload, sort_keys=True) == out[-1], argv
+        compared.add(argv[0])
+        if argv[0] == "conjsep":
+            verdicts.add(payload["verdict"])
+    assert compared == set(LIBRARY) == json_commands - {"pingpong", "tgen", "ln"}
+    assert verdicts == {"witness", "no-witness-up-to-bound"}
 
 
 def test_certificate_and_nielsen_digests_match_golden():

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, seed, settings, strategies as st
 from torlen import torsion
 from torlen.consequences import closure_ball, verify_factors
 from torlen.constructions import build_chain, build_pjkl, build_pn
-from torlen.freeprod import CyclicFactorSpec, normal_form
+from torlen.freeprod import CyclicFactorSpec, is_torsion, normal_form
 from torlen.presentation import (
     Presentation,
     abelianization,
@@ -591,6 +591,91 @@ def test_certificates_level_2_reaches_z():
     assert z.adjoined  # carries the lower-level relator set
     assert z.supporting  # and the certificates backing it
     assert z.verify()
+
+
+def cyclic_free_product(orders) -> tuple[CyclicFactorSpec, Presentation]:
+    """<x, y, z | x^m_x, ...> over the first len(orders) of x, y, z, with
+    no relator for an order None (a free factor)."""
+    gens = "xyz"[: len(orders)]
+    spec = CyclicFactorSpec(tuple(zip(gens, orders)))
+    relators = tuple(Word.gen(g, m) for g, m in zip(gens, orders) if m is not None)
+    return spec, Presentation(tuple(gens), relators)
+
+
+def level_1_contract(spec, word_bound, exponent_bound) -> set:
+    """Every (w, o) with w a nonempty freely reduced word of order o
+    (1 for a trivial w, by is_torsion's witness), o <= exponent_bound and
+    2|h| + o|c| <= word_bound, where w = h c h^-1 with c cyclically
+    reduced: w^o reduces to h c^o h^-1, which has that length.  The words
+    are enumerated outright, whatever order the search takes."""
+    letters = [(g, s) for g, _ in spec.factors for s in (1, -1)]
+    orders = dict(spec.factors)
+    order_of: dict = {}
+    pairs = set()
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        if w:
+            k = 0
+            while len(w) - 2 * k >= 2 and w[k] == (w[-1 - k][0], -w[-1 - k][1]):
+                k += 1
+            c = w[k : len(w) - k]
+            if c not in order_of:
+                torsion, witness = is_torsion(spec, Word(c))
+                order_of[c] = None
+                if torsion:
+                    element = witness.factor_element.letters
+                    m = orders[element[0][0]] if element else 1
+                    order_of[c] = m // gcd(len(element), m)
+            o = order_of[c]
+            if o is not None and o <= exponent_bound and 2 * k + o * len(c) <= word_bound:
+                pairs.add((w, o))
+        if len(w) < word_bound:
+            stack.extend(w + (a,) for a in letters if not w or w[-1] != (a[0], -a[1]))
+    return pairs
+
+
+def contract_draws(rng: random.Random, n: int) -> list:
+    """(orders, word_bound, exponent_bound) over 2-3 factors of order
+    2-5 or free; three factors stop at word bound 6, which keeps the
+    enumeration near 23,000 words."""
+    draws = []
+    for _ in range(n):
+        k = rng.randint(2, 3)
+        orders = tuple(rng.choice((2, 3, 4, 5, None)) for _ in range(k))
+        draws.append((orders, rng.randint(4, 8 if k == 2 else 6), rng.randint(1, 6)))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "orders, word_bound, exponent_bound",
+    [((2, 3), 8, 6), ((2, 3), 8, 3), ((2, 2), 6, 6)] + contract_draws(random.Random(4), 8),
+)
+def test_level_1_certificates_are_the_torsion_of_a_cyclic_free_product(
+    orders, word_bound, exponent_bound
+):
+    # with a consequence budget of at least the word bound, every such
+    # w^o is reached: relators inserted at one place, then |h| conjugations
+    spec, p = cyclic_free_product(orders)
+    report = torsion_certificate_search(p, 1, word_bound, exponent_bound, word_bound)
+    assert report.exhaustive
+    got = {(c.word.letters, c.exponent) for c in report.certificates}
+    assert len(got) == len(report.certificates)
+    assert got == level_1_contract(spec, word_bound, exponent_bound)
+
+
+def test_level_1_certificates_stay_in_the_contract_when_the_depth_binds():
+    rng = random.Random(7)
+    draws = [((2, 3), 8, 6, 3)] + [(*d, rng.randint(1, d[1] - 1)) for d in contract_draws(rng, 4)]
+    missing = []
+    for orders, word_bound, exponent_bound, depth in draws:
+        spec, p = cyclic_free_product(orders)
+        report = torsion_certificate_search(p, 1, word_bound, exponent_bound, depth)
+        got = {(c.word.letters, c.exponent) for c in report.certificates}
+        expected = level_1_contract(spec, word_bound, exponent_bound)
+        assert got <= expected
+        missing.append(len(expected - got))
+    assert missing[0] == 254  # of C2*C3's 612 at word bound 8: the depth condition is needed
 
 
 def test_certificates_free_group_empty():
