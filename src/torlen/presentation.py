@@ -261,7 +261,7 @@ def parse_presentation(text: str) -> Presentation:
                 if not _SYMBOL_RE.fullmatch(tok):
                     raise _token_error(f"bad generator token {tok!r}", lineno, raw, "gens:", k)
                 if tok in declared:
-                    raise PresentationSyntaxError(f"duplicate generator {tok!r}", lineno)
+                    raise _token_error(f"duplicate generator {tok!r}", lineno, raw, "gens:", k)
                 declared.add(tok)
                 generators.append(tok)
         elif line.startswith("rel:"):
@@ -278,7 +278,7 @@ def parse_presentation(text: str) -> Presentation:
                     # token be malformed
                     if not _SYMBOL_RE.fullmatch(name):
                         raise _token_error(f"bad token {tok!r}", lineno, raw, "rel:", k)
-                    raise PresentationSyntaxError(f"undeclared symbol {name!r}", lineno)
+                    raise _token_error(f"undeclared symbol {name!r}", lineno, raw, "rel:", k)
                 letters.append((name, sign))
             relators.append(free_reduce(_word(tuple(letters))))
         else:

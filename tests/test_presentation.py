@@ -514,17 +514,19 @@ def test_parse_rejects_malformed_lines(text, message, line, column):
 
 
 @pytest.mark.parametrize(
-    "text, line, column",
+    "text, message, line, column",
     [
-        ("gens: s:\n", 1, 6),  # "s:" also occurs inside the keyword
-        ("gens: a\nrel: l:\n", 2, 5),
-        ("  gens: a s:\n", 1, 10),
-        ("gens:a a:\n", 1, 7),
-        ("gens: a\n\trel: a^-1 ^-1\n", 2, 11),  # "^-1" also ends the first token
+        ("gens: s:\n", "bad generator token", 1, 6),  # "s:" also occurs in the keyword
+        ("gens: a\nrel: l:\n", "bad token", 2, 5),
+        ("  gens: a s:\n", "bad generator token", 1, 10),
+        ("gens:a a:\n", "bad generator token", 1, 7),
+        ("gens: a\n\trel: a^-1 ^-1\n", "bad token", 2, 11),  # "^-1" also ends "a^-1"
+        ("gens: s s\n", "duplicate generator", 1, 8),
+        ("gens: a\nrel: a a^-1 l\n", "undeclared symbol", 2, 12),
     ],
 )
-def test_parse_error_column_is_the_token_after_the_keyword(text, line, column):
-    with pytest.raises(PresentationSyntaxError, match="bad") as exc:
+def test_parse_error_column_is_the_token_after_the_keyword(text, message, line, column):
+    with pytest.raises(PresentationSyntaxError, match=message) as exc:
         parse_presentation(text)
     assert (exc.value.line, exc.value.column) == (line, column)
 
